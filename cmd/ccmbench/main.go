@@ -8,7 +8,7 @@
 //	         [-memcost N] [-workers N] [-json]
 //	         [-verify-passes] [-timeout D] [-repro-dir DIR]
 //	         [-cache-dir DIR] [-cache-bytes N] [-remote-url URL ...]
-//	         [-remote-replicas N] [-remote-hedge D]
+//	         [-remote-replicas N]
 //	         [-farm N] [-farm-out BENCH_farm.json]
 //	         [-trace out.json] [-metrics-out BENCH_pipeline.json]
 //
@@ -47,9 +47,8 @@
 // flag to spread the tier over a replicated fleet: keys place onto
 // nodes by rendezvous hashing, reads fail over along each key's
 // preference order behind per-node circuit breakers, and writes
-// replicate to -remote-replicas healthy nodes (-remote-hedge races a
-// second read against the next node after that delay). -farm N runs
-// the table suite as a compile farm: N worker processes (this binary
+// replicate to -remote-replicas healthy nodes. -farm N runs the table
+// suite as a compile farm: N worker processes (this binary
 // re-executed) partition the routine list, share the -remote-url cache
 // fleet, and the parent merges their shards into tables that are
 // byte-identical to a solo run — even when a fleet node dies mid-farm,
@@ -110,7 +109,6 @@ func main() {
 	var remoteURLs multiFlag
 	flag.Var(&remoteURLs, "remote-url", "remote cache server base URL; repeat for a replicated fleet (empty = no remote tier)")
 	remoteReplicas := flag.Int("remote-replicas", 0, "healthy fleet nodes each write-behind put lands on (0 = 2)")
-	remoteHedge := flag.Duration("remote-hedge", 0, "delay before hedging a fleet read to the next node (0 = hedging off)")
 	remoteToken := flag.String("remote-token", "", "bearer token for the remote cache server (empty = none)")
 	farm := flag.Int("farm", 0, "run the table suite as N worker processes sharing the -remote-url cache server")
 	farmOut := flag.String("farm-out", "BENCH_farm.json", "farm-mode report artifact (per-process and merged throughput, remote hit rate)")
@@ -140,8 +138,8 @@ func main() {
 		}
 		if err := runFarm(ctx, *farm, *table, farmFlags{
 			remoteURLs: remoteURLs, remoteToken: *remoteToken,
-			remoteReplicas: *remoteReplicas, remoteHedge: *remoteHedge,
-			workers: *workers, memCost: *memCost,
+			remoteReplicas: *remoteReplicas,
+			workers:        *workers, memCost: *memCost,
 			verifyPasses: *verifyPasses, timeout: *timeout,
 			cacheDir: *cacheDir, cacheBytes: *cacheBytes, out: *farmOut,
 		}); err != nil {
@@ -156,7 +154,7 @@ func main() {
 	popts := pipeline.Options{
 		Workers: *workers, CacheDir: *cacheDir, CacheBytes: *cacheBytes,
 		RemoteURLs: remoteURLs, RemoteToken: *remoteToken,
-		RemoteReplicas: *remoteReplicas, RemoteHedgeDelay: *remoteHedge,
+		RemoteReplicas: *remoteReplicas,
 	}
 	if *traceOut != "" {
 		popts.Tracer = obs.NewTracer()
@@ -328,7 +326,6 @@ type farmFlags struct {
 	remoteURLs     []string
 	remoteToken    string
 	remoteReplicas int
-	remoteHedge    time.Duration
 	workers        int
 	memCost        int
 	verifyPasses   bool
@@ -423,9 +420,6 @@ func runFarm(ctx context.Context, n, table int, ff farmFlags) error {
 		}
 		if ff.remoteReplicas != 0 {
 			args = append(args, "-remote-replicas", strconv.Itoa(ff.remoteReplicas))
-		}
-		if ff.remoteHedge != 0 {
-			args = append(args, "-remote-hedge", ff.remoteHedge.String())
 		}
 		if ff.workers != 0 {
 			args = append(args, "-workers", strconv.Itoa(ff.workers))

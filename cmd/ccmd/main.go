@@ -7,24 +7,27 @@
 //
 //	ccmd [-addr HOST:PORT] [-workers N]
 //	     [-cache-dir DIR] [-cache-bytes N] [-remote-url URL ...] [-repro-dir DIR]
-//	     [-remote-replicas N] [-remote-hedge D]
+//	     [-remote-replicas N]
 //	     [-auth-token TOK | -auth-file PATH]
 //	     [-remote-token TOK | -remote-token-file PATH]
 //	     [-tenant-rate N] [-tenant-burst N]
-//	     [-journal-dir DIR] [-journal-bytes N]
 //	     [-max-inflight N] [-max-queue N] [-retry-after D]
 //	     [-drain-timeout D] [-max-program-bytes N] [-version]
+//
+// -cache-dir is the persistent artifact tier. Every cacheable artifact
+// is written through to it (temp file, fsync, rename) before the
+// response goes out, so a daemon restarted on the same directory —
+// after a clean drain or a crash — serves every request it completed
+// before as a disk hit, byte-identical and without recompiling.
 //
 // -remote-url attaches a shared remote cache tier (a ccmcached server)
 // behind the memory and disk tiers. Repeat the flag to join a
 // replicated fleet: keys place onto nodes by rendezvous hashing, reads
 // fail over along each key's preference order behind per-node circuit
 // breakers, writes replicate to -remote-replicas healthy nodes, and a
-// hit on a secondary repairs the primary in the background.
-// -remote-hedge, when positive, races a second read against the next
-// node after that delay. The tier is an accelerator, never a
-// dependency: timeouts, corruption, and outages are absorbed by the
-// breakers, and /readyz keeps answering 200 with status "degraded"
+// hit on a secondary repairs the primary in the background. The tier
+// is an accelerator, never a dependency: timeouts, corruption, and
+// outages are absorbed by the breakers, and /readyz keeps answering 200 with status "degraded"
 // only when every node's breaker is open — the daemon compiles locally
 // either way. -remote-token (or -remote-token-file) is the bearer token
 // for ccmcached servers running with -auth-token.
@@ -36,15 +39,6 @@
 // 429 rate-limited with Retry-After when exceeded); a hot tenant is
 // also capped to its fair share of the admission queue so it cannot
 // starve the rest of the fleet into 429 saturated.
-//
-// -journal-dir enables the durable request journal: every admitted
-// compile request is appended (CRC-framed, fsynced) before it runs, and
-// on startup the journal is replayed to re-warm the artifact cache —
-// a crashed daemon comes back remembering what its tenants were
-// compiling. Corrupt journal segments are quarantined, torn tails from
-// a mid-append crash are truncated to the committed prefix, and
-// -journal-bytes bounds the journal's disk footprint (oldest segments
-// dropped first).
 //
 // Endpoints:
 //
@@ -84,7 +78,6 @@ import (
 	ccm "ccmem"
 	"ccmem/internal/authtoken"
 	"ccmem/internal/ccmd"
-	"ccmem/internal/journal"
 	"ccmem/internal/obs"
 	"ccmem/internal/pipeline"
 )
@@ -103,15 +96,12 @@ func main() {
 	var remoteURLs multiFlag
 	flag.Var(&remoteURLs, "remote-url", "remote cache server base URL; repeat for a replicated fleet (empty = no remote tier)")
 	remoteReplicas := flag.Int("remote-replicas", 0, "healthy fleet nodes each write-behind put lands on (0 = 2)")
-	remoteHedge := flag.Duration("remote-hedge", 0, "delay before hedging a fleet read to the next node (0 = hedging off)")
 	remoteToken := flag.String("remote-token", "", "bearer token for the remote cache server (empty = none)")
 	remoteTokenFile := flag.String("remote-token-file", "", "file holding the remote cache bearer token")
 	authToken := flag.String("auth-token", "", "bearer token required on data endpoints (empty = auth off)")
 	authFile := flag.String("auth-file", "", "file holding the bearer token for data endpoints")
 	tenantRate := flag.Float64("tenant-rate", 0, "per-tenant steady-state requests/sec (0 = rate limiting off)")
 	tenantBurst := flag.Int("tenant-burst", 0, "per-tenant burst size (0 = ceil(tenant-rate))")
-	journalDir := flag.String("journal-dir", "", "durable request journal directory (empty = journaling off)")
-	journalBytes := flag.Int64("journal-bytes", 0, "journal disk budget in bytes (0 = 64 MiB)")
 	reproDir := flag.String("repro-dir", "", "base directory for per-tenant crash/miscompile repro bundles (empty = disabled)")
 	maxInflight := flag.Int("max-inflight", 0, "max concurrently running requests (0 = worker pool size)")
 	maxQueue := flag.Int("max-queue", 0, "max queued requests before 429 (0 = 4x max-inflight)")
@@ -142,15 +132,14 @@ func main() {
 	}
 
 	drv := pipeline.New(pipeline.Options{
-		Workers:          *workers,
-		CacheDir:         *cacheDir,
-		CacheBytes:       *cacheBytes,
-		RemoteURLs:       remoteURLs,
-		RemoteReplicas:   *remoteReplicas,
-		RemoteHedgeDelay: *remoteHedge,
-		RemoteToken:      rtoken,
-		Metrics:          obs.NewRegistry(),
-		PprofLabels:      true,
+		Workers:        *workers,
+		CacheDir:       *cacheDir,
+		CacheBytes:     *cacheBytes,
+		RemoteURLs:     remoteURLs,
+		RemoteReplicas: *remoteReplicas,
+		RemoteToken:    rtoken,
+		Metrics:        obs.NewRegistry(),
+		PprofLabels:    true,
 	})
 	if err := drv.DiskCacheErr(); err != nil {
 		// Degraded, not dead: compiles fall back to the memory tier and
@@ -159,19 +148,6 @@ func main() {
 	}
 	if err := drv.RemoteCacheErr(); err != nil {
 		logger.Printf("ccmd: warning: remote cache disabled: %v", err)
-	}
-	// Open the journal before the service: Open returns the records that
-	// survived the last process (torn tails truncated, corrupt segments
-	// quarantined), and the service replays them below to re-warm the
-	// cache before traffic arrives.
-	var jrnl *journal.Journal
-	var recovered [][]byte
-	if *journalDir != "" {
-		jrnl, recovered, err = journal.Open(*journalDir, journal.Options{MaxBytes: *journalBytes})
-		if err != nil {
-			logger.Fatalf("ccmd: journal: %v", err)
-		}
-		defer jrnl.Close()
 	}
 	svc, err := ccmd.NewService(ccmd.Config{
 		Driver:          drv,
@@ -182,14 +158,9 @@ func main() {
 		MaxProgramBytes: *maxProgram,
 		TenantRate:      *tenantRate,
 		TenantBurst:     *tenantBurst,
-		Journal:         jrnl,
 	})
 	if err != nil {
 		logger.Fatalf("ccmd: %v", err)
-	}
-	if len(recovered) > 0 {
-		replayed, skipped := svc.ReplayJournal(context.Background(), recovered)
-		logger.Printf("ccmd: journal: replayed %d recovered requests (%d skipped)", replayed, skipped)
 	}
 	srv, err := ccmd.NewServer(svc, ccmd.ServerConfig{
 		Addr:         *addr,

@@ -209,10 +209,6 @@ type ServiceStats struct {
 	// off.
 	Tenants map[string]ratelimit.KeyStats `json:"tenants,omitempty"`
 
-	// Journal is the durable request journal's record; nil when the
-	// service runs without one.
-	Journal *JournalStats `json:"journal,omitempty"`
-
 	// RemoteCircuit is the remote cache tier's breaker state ("closed",
 	// "half-open", "open"; "" when no remote tier is configured). An
 	// open circuit degrades the service — lookups skip the tier — but
@@ -222,21 +218,4 @@ type ServiceStats struct {
 	// RemoteNodes is the fleet's per-node circuit breakdown; nil for a
 	// single-server tier or no remote at all.
 	RemoteNodes []pipeline.RemoteNodeStatus `json:"remote_nodes,omitempty"`
-}
-
-// JournalStats is the request journal's ServiceStats slice: the
-// journal's own counters plus the service's replay record.
-type JournalStats struct {
-	Appends         int64 `json:"appends"`
-	AppendErrors    int64 `json:"append_errors"`
-	Segments        int   `json:"segments"`
-	TornTails       int64 `json:"torn_tails"`
-	Quarantines     int64 `json:"quarantines"`
-	DroppedSegments int64 `json:"dropped_segments"`
-	Degraded        bool  `json:"degraded,omitempty"`
-	// Replayed and ReplayErrors count startup recovery: journal records
-	// recompiled to re-warm the cache, and records that failed to decode
-	// or compile (skipped, never fatal).
-	Replayed     int64 `json:"replayed"`
-	ReplayErrors int64 `json:"replay_errors"`
 }

@@ -134,6 +134,18 @@ func TestHTTPValidation(t *testing.T) {
 		t.Fatalf("trailing garbage: status %d, want 400", resp.StatusCode)
 	}
 
+	// Register counts are bounded: the allocator sizes per-function
+	// tables by them, so a huge count is refused before any work.
+	for _, rc := range []RequestConfig{{IntRegs: 1 << 20}, {FloatRegs: pipeline.MaxRegs + 1}} {
+		resp = postJSON(t, ts.URL+"/compile", CompileRequest{Program: testProgram(t, 1), Config: rc})
+		if resp.StatusCode != 400 {
+			t.Fatalf("regs %+v: status %d, want 400", rc, resp.StatusCode)
+		}
+		if e := decodeBody[errEnvelope](t, resp); e.Error == nil || e.Error.Code != CodeBadRequest || e.Error.Field != "config.int_regs" {
+			t.Fatalf("regs %+v error: %+v", rc, e.Error)
+		}
+	}
+
 	// GET on a POST route is a 405 from the method-aware mux.
 	getResp, err := http.Get(ts.URL + "/compile")
 	if err != nil {

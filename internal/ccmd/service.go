@@ -40,7 +40,6 @@ import (
 	"time"
 
 	"ccmem/internal/ir"
-	"ccmem/internal/journal"
 	"ccmem/internal/obs"
 	"ccmem/internal/pipeline"
 	"ccmem/internal/ratelimit"
@@ -117,12 +116,6 @@ type Config struct {
 	// bounded queue and starve everyone else. 0 means half of MaxQueue
 	// (minimum 1); < 0 disables the cap.
 	MaxTenantQueue int
-
-	// Journal, when non-nil, is the durable request journal: every
-	// admitted compile request is appended before it runs, and
-	// ReplayJournal recompiles recovered records at startup to re-warm
-	// the cache. The service owns appends; the caller owns Open/Close.
-	Journal *journal.Journal
 }
 
 func (c Config) withDefaults() Config {
@@ -194,9 +187,6 @@ type Service struct {
 	tenantMu     sync.Mutex
 	tenantQueued map[string]int
 
-	// jrnl is the durable request journal (nil = journaling off).
-	jrnl *journal.Journal
-
 	requests          atomic.Int64
 	inflight          atomic.Int64
 	queued            atomic.Int64
@@ -208,8 +198,6 @@ type Service struct {
 	unauthorized      atomic.Int64
 	rateLimited       atomic.Int64
 	fairShareRejected atomic.Int64
-	replayed          atomic.Int64
-	replayErrors      atomic.Int64
 
 	// Drain protocol: draining flips under mu, active counts admitted
 	// requests still running, and cond wakes Drain when active reaches
@@ -257,7 +245,6 @@ func NewService(cfg Config) (*Service, error) {
 			Now:     cfg.RateNow,
 		}),
 		tenantQueued: make(map[string]int),
-		jrnl:         cfg.Journal,
 	}
 	s.cond = sync.NewCond(&s.mu)
 	return s, nil
@@ -486,8 +473,9 @@ func (s *Service) pipelineConfig(req *CompileRequest, shed int) (pipeline.Config
 	if req.Config.CCMBytes < 0 {
 		return zero, errBadRequest("config.ccm_bytes", "must be >= 0, got %d", req.Config.CCMBytes)
 	}
-	if req.Config.IntRegs < 0 || req.Config.FloatRegs < 0 {
-		return zero, errBadRequest("config.int_regs", "register counts must be >= 0")
+	if req.Config.IntRegs < 0 || req.Config.IntRegs > pipeline.MaxRegs ||
+		req.Config.FloatRegs < 0 || req.Config.FloatRegs > pipeline.MaxRegs {
+		return zero, errBadRequest("config.int_regs", "register counts must be in [0, %d]", pipeline.MaxRegs)
 	}
 	if req.Config.DiffVectors < 0 {
 		return zero, errBadRequest("config.diff_vectors", "must be >= 0, got %d", req.Config.DiffVectors)
@@ -613,10 +601,6 @@ func (s *Service) Compile(ctx context.Context, req *CompileRequest) (*CompileRes
 	if apiErr != nil {
 		return nil, apiErr
 	}
-	// The request is admitted and validated: journal it before it runs,
-	// so a crash mid-compile replays it on restart. A journal failure is
-	// counted, never fatal — durability degrades, service does not.
-	s.journalAppend(req)
 	switch shed {
 	case shedVerify:
 		s.shedVerifyN.Add(1)
@@ -769,80 +753,6 @@ func (s *Service) Run(ctx context.Context, req *RunRequest) (*RunResponse, *APIE
 	return resp, nil
 }
 
-// journalRecord is the journal's wire format: the compile request's
-// deterministic slice (tenant, program, config) as versioned JSON.
-// Options are deliberately excluded — tracing and repro capture are
-// observability, not state worth replaying.
-type journalRecord struct {
-	V       int           `json:"v"`
-	Tenant  string        `json:"tenant,omitempty"`
-	Program string        `json:"program"`
-	Config  RequestConfig `json:"config"`
-}
-
-const journalRecordVersion = 1
-
-// journalAppend writes one admitted request to the journal. Failures
-// are counted (the journal degrades itself after a few) — a sick disk
-// costs durability, never a compile.
-func (s *Service) journalAppend(req *CompileRequest) {
-	if s.jrnl == nil {
-		return
-	}
-	rec := journalRecord{V: journalRecordVersion, Tenant: req.Tenant, Program: req.Program, Config: req.Config}
-	data, err := json.Marshal(rec)
-	if err == nil {
-		err = s.jrnl.Append(data)
-	}
-	if err != nil {
-		s.reg.Counter("ccmd.journal.append_errors").Inc()
-		return
-	}
-	s.reg.Counter("ccmd.journal.appends").Inc()
-}
-
-// ReplayJournal recompiles the records recovered from the journal at
-// startup, re-warming the shared cache so a crashed daemon comes back
-// with the artifacts its tenants were using. Records that fail to
-// decode or compile are counted and skipped — recovery is best-effort,
-// never fatal — and replay bypasses admission, rate limiting, and the
-// journal itself (replaying must not re-journal). It returns the number
-// of records replayed and the number skipped.
-func (s *Service) ReplayJournal(ctx context.Context, records [][]byte) (replayed, skipped int) {
-	for _, raw := range records {
-		if ctx.Err() != nil {
-			break
-		}
-		var rec journalRecord
-		if err := json.Unmarshal(raw, &rec); err != nil || rec.V != journalRecordVersion {
-			skipped++
-			s.replayErrors.Add(1)
-			s.reg.Counter("ccmd.journal.replay_errors").Inc()
-			continue
-		}
-		req := &CompileRequest{Tenant: rec.Tenant, Program: rec.Program, Config: rec.Config}
-		p, apiErr := s.parseProgram(req.Program)
-		if apiErr == nil {
-			var cfg pipeline.Config
-			if cfg, apiErr = s.pipelineConfig(req, shedNone); apiErr == nil {
-				if _, err := s.drv.CompileTraced(ctx, p, cfg, nil); err != nil {
-					apiErr = compileAPIError(err)
-				}
-			}
-		}
-		if apiErr != nil {
-			skipped++
-			s.replayErrors.Add(1)
-			s.reg.Counter("ccmd.journal.replay_errors").Inc()
-			continue
-		}
-		replayed++
-		s.replayed.Add(1)
-		s.reg.Counter("ccmd.journal.replayed").Inc()
-	}
-	return replayed, skipped
-}
-
 // Report returns the shared driver's cumulative report (GET /report).
 func (s *Service) Report() *pipeline.Report { return s.drv.Metrics() }
 
@@ -864,27 +774,8 @@ func (s *Service) Stats() ServiceStats {
 		RateLimited:       s.rateLimited.Load(),
 		FairShareRejected: s.fairShareRejected.Load(),
 		Tenants:           s.limiter.Snapshot(),
-		Journal:           s.journalStats(),
 		RemoteCircuit:     s.drv.RemoteCircuit(),
 		RemoteNodes:       s.drv.RemoteNodes(),
-	}
-}
-
-func (s *Service) journalStats() *JournalStats {
-	if s.jrnl == nil {
-		return nil
-	}
-	js := s.jrnl.Stats()
-	return &JournalStats{
-		Appends:         js.Appends,
-		AppendErrors:    js.AppendErrors,
-		Segments:        js.Segments,
-		TornTails:       js.TornTails,
-		Quarantines:     js.Quarantines,
-		DroppedSegments: js.DroppedSegments,
-		Degraded:        js.Degraded,
-		Replayed:        s.replayed.Load(),
-		ReplayErrors:    s.replayErrors.Load(),
 	}
 }
 

@@ -10,11 +10,6 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"ccmem/internal/diskcache"
-	"ccmem/internal/journal"
-	"ccmem/internal/obs"
-	"ccmem/internal/pipeline"
 )
 
 // TestRateLimitHotTenant pins the tenant-scoped 429 against an
@@ -334,175 +329,6 @@ func TestBackpressureRetryAfterAudit(t *testing.T) {
 			e := decodeBody[errEnvelope](t, rec.Result())
 			if e.Error == nil || e.Error.Code != tc.code || e.Error.RetryAfter != tc.err.RetryAfter {
 				t.Fatalf("envelope %+v does not match typed error %+v", e.Error, tc.err)
-			}
-		})
-	}
-}
-
-// TestJournalReplayRewarmsCache: journaled compile requests survive a
-// process "restart" (journal close + reopen) and replay on a fresh
-// service re-warms its cache, with re-served responses byte-identical
-// to the originals. Corrupt records are counted and skipped, never
-// fatal.
-func TestJournalReplayRewarmsCache(t *testing.T) {
-	dir := t.TempDir()
-	jr, recs, err := journal.Open(dir, journal.Options{})
-	if err != nil {
-		t.Fatalf("journal.Open: %v", err)
-	}
-	if len(recs) != 0 {
-		t.Fatalf("fresh journal recovered %d records", len(recs))
-	}
-	svc := newTestService(t, func(c *Config) { c.Journal = jr })
-
-	texts := []string{testProgram(t, 24), testProgram(t, 25)}
-	want := make([]string, len(texts))
-	for i, text := range texts {
-		resp, apiErr := svc.Compile(context.Background(), &CompileRequest{
-			Tenant:  "team-a",
-			Program: text,
-			Config:  RequestConfig{Strategy: "postpass", CCMBytes: 512},
-		})
-		if apiErr != nil {
-			t.Fatalf("compile %d: %v", i, apiErr)
-		}
-		want[i] = resp.Output
-	}
-	if js := svc.Stats().Journal; js == nil || js.Appends != 2 {
-		t.Fatalf("journal stats after two compiles: %+v", js)
-	}
-	if err := jr.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// "Restart": reopen the journal, replay onto a fresh service with
-	// its own driver and cache.
-	jr2, recs, err := journal.Open(dir, journal.Options{})
-	if err != nil {
-		t.Fatalf("reopen: %v", err)
-	}
-	defer jr2.Close()
-	if len(recs) != 2 {
-		t.Fatalf("recovered %d records, want 2", len(recs))
-	}
-	svc2 := newTestService(t, func(c *Config) { c.Journal = jr2 })
-	replayed, skipped := svc2.ReplayJournal(context.Background(), recs)
-	if replayed != 2 || skipped != 0 {
-		t.Fatalf("ReplayJournal = (%d, %d), want (2, 0)", replayed, skipped)
-	}
-
-	// Re-serving after replay is byte-identical to the pre-crash runs.
-	for i, text := range texts {
-		resp, apiErr := svc2.Compile(context.Background(), &CompileRequest{
-			Tenant:  "team-a",
-			Program: text,
-			Config:  RequestConfig{Strategy: "postpass", CCMBytes: 512},
-		})
-		if apiErr != nil {
-			t.Fatalf("re-serve %d: %v", i, apiErr)
-		}
-		if resp.Output != want[i] {
-			t.Fatalf("re-served output %d differs from the original", i)
-		}
-	}
-
-	// Garbage records: skipped and counted, not fatal.
-	if replayed, skipped := svc2.ReplayJournal(context.Background(), [][]byte{[]byte("not json")}); replayed != 0 || skipped != 1 {
-		t.Fatalf("garbage replay = (%d, %d), want (0, 1)", replayed, skipped)
-	}
-	if js := svc2.Stats().Journal; js == nil || js.Replayed != 2 || js.ReplayErrors != 1 {
-		t.Fatalf("replay stats: %+v", js)
-	}
-}
-
-// TestJournalFaultMatrixByteIdentity is the service-level half of the
-// journal fault matrix: at workers=1 and workers=8, ENOSPC and a torn-
-// write crash on the journal cost durability only — every compile
-// response stays byte-identical to a solo ccmc run, and a reopen after
-// the crash recovers exactly the fully-committed requests.
-func TestJournalFaultMatrixByteIdentity(t *testing.T) {
-	for _, workers := range []int{1, 8} {
-		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			dir := t.TempDir()
-			ffs := diskcache.NewFaultFS(nil)
-			jr, _, err := journal.Open(dir, journal.Options{FS: ffs})
-			if err != nil {
-				t.Fatalf("journal.Open: %v", err)
-			}
-			svc := newTestService(t, func(c *Config) {
-				c.Driver = pipeline.New(pipeline.Options{Workers: workers, Metrics: obs.NewRegistry()})
-				c.Journal = jr
-			})
-			compile := func(seed int64) string {
-				t.Helper()
-				text := testProgram(t, seed)
-				resp, apiErr := svc.Compile(context.Background(), &CompileRequest{
-					Program: text,
-					Config:  RequestConfig{Strategy: "postpass", CCMBytes: 512},
-				})
-				if apiErr != nil {
-					t.Fatalf("compile seed %d: %v", seed, apiErr)
-				}
-				if want := soloCompile(t, text, pipelineConfigFor(t, "postpass", 512)); resp.Output != want {
-					t.Fatalf("seed %d: response differs from solo compile", seed)
-				}
-				return resp.Output
-			}
-
-			// Three healthy requests commit to the journal.
-			for seed := int64(30); seed < 33; seed++ {
-				compile(seed)
-			}
-
-			// ENOSPC: the append fails, the compile must not.
-			ffs.SetWriteBudget(0)
-			compile(33)
-			if js := svc.Stats().Journal; js == nil || js.AppendErrors == 0 {
-				t.Fatalf("ENOSPC left no append error: %+v", js)
-			}
-			ffs.SetWriteBudget(-1)
-
-			// Torn-write crash: a few bytes of the frame land, then the
-			// disk dies mid-append. The compile still answers correct
-			// bytes.
-			ffs.CrashAfterBytes(5)
-			compile(34)
-			ffs.Revive()
-
-			if err := jr.Close(); err != nil {
-				t.Fatal(err)
-			}
-
-			// Restart on the healthy disk: only the three fully-committed
-			// requests replay — the torn tail is truncated, nothing
-			// corrupt survives.
-			jr2, recs, err := journal.Open(dir, journal.Options{})
-			if err != nil {
-				t.Fatalf("reopen: %v", err)
-			}
-			defer jr2.Close()
-			if len(recs) != 3 {
-				t.Fatalf("recovered %d records after faults, want 3", len(recs))
-			}
-			svc2 := newTestService(t, func(c *Config) {
-				c.Driver = pipeline.New(pipeline.Options{Workers: workers, Metrics: obs.NewRegistry()})
-			})
-			if replayed, skipped := svc2.ReplayJournal(context.Background(), recs); replayed != 3 || skipped != 0 {
-				t.Fatalf("replay = (%d, %d), want (3, 0)", replayed, skipped)
-			}
-			// The replayed service serves the same bytes the crashed one did.
-			for seed := int64(30); seed < 33; seed++ {
-				text := testProgram(t, seed)
-				resp, apiErr := svc2.Compile(context.Background(), &CompileRequest{
-					Program: text,
-					Config:  RequestConfig{Strategy: "postpass", CCMBytes: 512},
-				})
-				if apiErr != nil {
-					t.Fatalf("post-replay compile: %v", apiErr)
-				}
-				if want := soloCompile(t, text, pipelineConfigFor(t, "postpass", 512)); resp.Output != want {
-					t.Fatalf("post-replay output differs from solo compile (workers=%d)", workers)
-				}
 			}
 		})
 	}

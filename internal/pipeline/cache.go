@@ -451,10 +451,8 @@ func remoteTierStats(rs remotecache.Stats) RemoteTierStats {
 		Probes:      rs.Probes,
 		Circuit:     rs.Circuit,
 
-		Failovers:      rs.Failovers,
-		HedgesLaunched: rs.HedgesLaunched,
-		HedgesWon:      rs.HedgesWon,
-		Repairs:        rs.Repairs,
+		Failovers: rs.Failovers,
+		Repairs:   rs.Repairs,
 	}
 	if lookups := rs.Hits + rs.Misses; lookups > 0 {
 		st.HitRate = float64(rs.Hits) / float64(lookups)

@@ -6,7 +6,6 @@ import (
 	"net/http/httptest"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"ccmem/internal/remotecache"
 	"ccmem/internal/workload"
@@ -74,9 +73,7 @@ func warmFleet(t *testing.T, urls []string, seed int64, cfg Config) {
 // no-remote compile, with the deterministic counter set (failures,
 // degradations, whole-cache hits/misses, fleet hits, failovers)
 // identical at workers=1 and workers=8. All three nodes down degrades
-// to the local tiers and still completes every compile. Hedging stays
-// off here — it is the one deliberately timing-dependent feature and
-// has its own deterministic tests.
+// to the local tiers and still completes every compile.
 func TestFleetFaultMatrixDeterminism(t *testing.T) {
 	cfg := detConfig(Integrated)
 	const seed = 90
@@ -239,64 +236,6 @@ func TestFleetWholeCacheInvariantUnderFaults(t *testing.T) {
 			closeRemote(t, d)
 		}
 	}
-}
-
-// TestFleetHedgedReadCountsOneHit is satellite truth for the hedged
-// path at the pipeline layer: with the node that served a warm compile
-// hanging, a hedge-enabled driver wins the race from the surviving
-// replica, the won hedge counts exactly one fleet hit, and the
-// whole-cache invariant holds.
-func TestFleetHedgedReadCountsOneHit(t *testing.T) {
-	cfg := detConfig(Integrated)
-	const seed = 92
-	want := coldILOC(t, seed, cfg)
-	urls := fleetURLs(t, 2)
-	warmFleet(t, urls, seed, cfg)
-
-	// Observe which node the program artifact prefers: a fresh driver's
-	// warm compile is served by exactly the key's primary.
-	probe := New(Options{RemoteURLs: urls, RemoteTuning: fastRemoteTuning()})
-	probeRep := mustCompile(t, probe, workload.RandomProgram(seed), cfg)
-	closeRemote(t, probe)
-	sick := -1
-	for i, ns := range probeRep.Cache.Remote.Nodes {
-		if ns.Hits > 0 {
-			sick = i
-		}
-	}
-	if sick < 0 {
-		t.Fatalf("probe compile hit no node: %+v", probeRep.Cache.Remote)
-	}
-
-	// Hang that node. Every key it served now resolves through a hedge
-	// to the other (warm, R=2) replica.
-	rt := &remotecache.FaultRT{}
-	rt.Arm(remotecache.FaultSlow)
-	rts := make([]http.RoundTripper, 2)
-	rts[sick] = rt
-	d := New(Options{RemoteURLs: urls, RemoteFaultRTs: rts,
-		RemoteHedgeDelay: 5 * time.Millisecond, RemoteTuning: fastRemoteTuning()})
-	p := workload.RandomProgram(seed)
-	rep := mustCompile(t, d, p, cfg)
-	if p.String() != want {
-		t.Fatal("hedged compile differs from cold compile")
-	}
-	rs := rep.Cache.Remote
-	if rs.HedgesLaunched < 1 || rs.HedgesWon < 1 {
-		t.Fatalf("hedge never won: launched=%d won=%d (%+v)", rs.HedgesLaunched, rs.HedgesWon, rs)
-	}
-	// A won hedge resolves its lookup exactly once: fleet hits stay in
-	// lockstep with the whole-cache ledger.
-	got := rep.Cache
-	if got.Hits != got.Memory.Hits+got.Disk.Hits+got.Remote.Hits {
-		t.Fatalf("whole-cache invariant broken under hedging: %d != %d + %d + %d",
-			got.Hits, got.Memory.Hits, got.Disk.Hits, got.Remote.Hits)
-	}
-	if rs.Hits != rs.HedgesWon {
-		t.Fatalf("fleet hits=%d, hedges won=%d: a won hedge must count exactly one hit",
-			rs.Hits, rs.HedgesWon)
-	}
-	closeRemote(t, d)
 }
 
 // TestFleetReportJSONShape pins the fleet extension of the report

@@ -126,8 +126,8 @@ type Config struct {
 	Strategy Strategy
 	CCMBytes int64 // capacity of the CCM; required unless Strategy is NoCCM
 
-	IntRegs   int // default 32
-	FloatRegs int // default 32
+	IntRegs   int // default 32; at most MaxRegs
+	FloatRegs int // default 32; at most MaxRegs
 
 	DisableOptimizer  bool // skip the scalar optimizer
 	DisableCompaction bool // skip spill-memory compaction (and the whole back stage)
@@ -182,6 +182,12 @@ type Config struct {
 	postPassHook func(name string)
 }
 
+// MaxRegs bounds IntRegs and FloatRegs. The allocator sizes
+// per-function tables by the register count, so an unbounded count is
+// an unbounded allocation (and overflows ir.Reg past 2^31). 1024 is 32×
+// the paper's 32 registers per class, above every experiment's value.
+const MaxRegs = 1024
+
 func (c Config) withDefaults() Config {
 	if c.IntRegs == 0 {
 		c.IntRegs = 32
@@ -193,6 +199,10 @@ func (c Config) withDefaults() Config {
 }
 
 func (c Config) validate() error {
+	if c.IntRegs < 0 || c.IntRegs > MaxRegs || c.FloatRegs < 0 || c.FloatRegs > MaxRegs {
+		return fmt.Errorf("pipeline: register counts must be in [0, %d], got %d int and %d float",
+			MaxRegs, c.IntRegs, c.FloatRegs)
+	}
 	if c.Strategy != NoCCM && c.CCMBytes <= 0 {
 		return fmt.Errorf("pipeline: strategy %v requires CCMBytes > 0", c.Strategy)
 	}
@@ -274,11 +284,6 @@ type Options struct {
 	// put lands on; <= 0 uses the fleet default (2, capped at the node
 	// count). Ignored for a single-server tier.
 	RemoteReplicas int
-	// RemoteHedgeDelay, when > 0, arms hedged fleet reads: a lookup that
-	// the preferred node has not answered within the delay is raced
-	// against the next node in the key's preference order. 0 disables
-	// hedging (the deterministic default). Ignored for a single server.
-	RemoteHedgeDelay time.Duration
 	// RemoteTuning adjusts the remote client's hardening knobs (timeouts,
 	// retries, breaker thresholds); zero fields take remotecache defaults.
 	RemoteTuning remotecache.Tuning
@@ -401,7 +406,6 @@ func New(opts Options) *Driver {
 				Obs:           opts.Metrics,
 				Tuning:        opts.RemoteTuning,
 				Replicas:      opts.RemoteReplicas,
-				HedgeDelay:    opts.RemoteHedgeDelay,
 			})
 			if err != nil {
 				d.remoteErr = err
@@ -1424,8 +1428,6 @@ func (d *Driver) finish(rep *Report, cs *compileState, do *diffOracle, m *metric
 					// counters are bumped by the fleet as events happen,
 					// these gauges snapshot the same totals per report.
 					d.reg.Gauge("remotecache.failovers").Set(cst.Remote.Failovers)
-					d.reg.Gauge("remotecache.hedges_launched").Set(cst.Remote.HedgesLaunched)
-					d.reg.Gauge("remotecache.hedges_won").Set(cst.Remote.HedgesWon)
 					d.reg.Gauge("remotecache.repairs").Set(cst.Remote.Repairs)
 				}
 			}

@@ -276,6 +276,11 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := d.Compile(workload.RandomProgram(1), Config{Strategy: PostPass}); err == nil {
 		t.Error("PostPass without CCMBytes should fail")
 	}
+	for _, c := range []Config{{IntRegs: MaxRegs + 1}, {FloatRegs: 1 << 20}, {IntRegs: -1}} {
+		if _, err := d.Compile(workload.RandomProgram(1), c); err == nil {
+			t.Errorf("register counts %d/%d should fail", c.IntRegs, c.FloatRegs)
+		}
+	}
 	if _, err := ParseStrategy("bogus"); err == nil {
 		t.Error("ParseStrategy accepted junk")
 	}

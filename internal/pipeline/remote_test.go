@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"net"
 	"net/http/httptest"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -247,10 +248,13 @@ func TestRemoteBreakerRecoversAcrossCompiles(t *testing.T) {
 	closeRemote(t, w)
 
 	// A second process starts with the network broken; the breaker opens.
-	clock := time.Unix(5000, 0)
+	// The clock is atomic: the client's write-behind worker reads it
+	// concurrently with the test advancing it.
+	var clock atomic.Int64
+	clock.Store(time.Unix(5000, 0).UnixNano())
 	tun := fastRemoteTuning()
 	tun.HalfOpenAfter = 2 * time.Second
-	tun.Now = func() time.Time { return clock }
+	tun.Now = func() time.Time { return time.Unix(0, clock.Load()) }
 	rt := &remotecache.FaultRT{}
 	rt.Arm(remotecache.FaultRefused)
 	d := New(Options{RemoteURL: hs.URL, RemoteFaultRT: rt, RemoteTuning: tun})
@@ -264,7 +268,7 @@ func TestRemoteBreakerRecoversAcrossCompiles(t *testing.T) {
 	// lookups (the first one is now memory-cached), and the probe closes
 	// the circuit.
 	rt.Disarm()
-	clock = clock.Add(3 * time.Second)
+	clock.Add(int64(3 * time.Second))
 	mustCompile(t, d, workload.RandomProgram(seed+1), cfg)
 	if st := d.Cache().Remote().State(); st != remotecache.StateClosed {
 		t.Fatalf("breaker did not recover after the server healed: %v", st)

@@ -95,12 +95,9 @@ type RemoteTierStats struct {
 
 	// Fleet counters, populated only when the remote tier is a
 	// replicated fleet: lookups the fleet absorbed a node failure on,
-	// hedged second reads launched and won, and read-repair puts queued
-	// back toward a key's preferred nodes.
-	Failovers      int64 `json:"failovers,omitempty"`
-	HedgesLaunched int64 `json:"hedges_launched,omitempty"`
-	HedgesWon      int64 `json:"hedges_won,omitempty"`
-	Repairs        int64 `json:"repairs,omitempty"`
+	// and read-repair puts queued back toward a key's preferred nodes.
+	Failovers int64 `json:"failovers,omitempty"`
+	Repairs   int64 `json:"repairs,omitempty"`
 
 	// Nodes breaks the fleet out per server, in configured order. Empty
 	// for a single-server tier.

@@ -144,7 +144,7 @@ type Options struct {
 // A Fleet returns the same shape: Gets/Hits/Misses count logical
 // fleet-level lookups (one per Get, however many nodes it walked), the
 // other counters aggregate across nodes, the fleet counters record
-// failovers/hedges/read-repairs, and Nodes breaks every node out.
+// failovers and read-repairs, and Nodes breaks every node out.
 type Stats struct {
 	Gets   int64 `json:"gets"`
 	Hits   int64 `json:"hits"`
@@ -167,12 +167,9 @@ type Stats struct {
 
 	// Fleet-level counters, set only when the snapshot comes from a
 	// Fleet: lookups the preferred node failed on but another node
-	// answered, hedged second reads launched and won, and read-repair
-	// puts queued back toward the primary.
-	Failovers      int64 `json:"failovers,omitempty"`
-	HedgesLaunched int64 `json:"hedges_launched,omitempty"`
-	HedgesWon      int64 `json:"hedges_won,omitempty"`
-	Repairs        int64 `json:"repairs,omitempty"`
+	// answered, and read-repair puts queued back toward the primary.
+	Failovers int64 `json:"failovers,omitempty"`
+	Repairs   int64 `json:"repairs,omitempty"`
 
 	// Nodes is the per-node breakdown of a Fleet snapshot, in the
 	// fleet's configured node order; empty for a single Client.

@@ -9,9 +9,7 @@ import (
 	"net/http"
 	"sort"
 	"strings"
-	"sync"
 	"sync/atomic"
-	"time"
 
 	"ccmem/internal/diskcache"
 	"ccmem/internal/obs"
@@ -47,14 +45,6 @@ type FleetOptions struct {
 	// the first R in the key's preference order whose breaker is not
 	// open. <= 0 means 2; capped at the node count.
 	Replicas int
-	// HedgeDelay, when > 0, arms hedged reads: if the preferred node
-	// has not answered a Get within the delay, a second read is sent to
-	// the next node in the preference order and the first verified hit
-	// wins. Whichever side answers, the bytes are identical (both are
-	// SHA-256-verified against the same key) and the lookup counts
-	// exactly one hit or miss; only latency — and the hedge counters —
-	// depend on timing. 0 disables hedging.
-	HedgeDelay time.Duration
 }
 
 // fleetNode is one server in the fleet: its identity for rendezvous
@@ -77,8 +67,7 @@ type fleetNode struct {
 //   - Reads walk the preference order, advancing past per-node circuit
 //     breakers and failures; a clean miss from a healthy node keeps
 //     walking too (the entry may have been placed while that node was
-//     sick). Optionally a hedged second read races the next node after
-//     HedgeDelay.
+//     sick).
 //   - Writes replicate write-behind to the first Replicas healthy
 //     nodes, so any single node's death leaves every entry reachable.
 //   - A hit on a secondary queues an asynchronous read-repair put back
@@ -90,19 +79,12 @@ type fleetNode struct {
 type Fleet struct {
 	nodes    []*fleetNode
 	replicas int
-	hedge    time.Duration
-
-	wg sync.WaitGroup // in-flight hedge/primary goroutines
 
 	gets, hits, misses atomic.Int64
 	corrupt            atomic.Int64
-
-	failovers, hedgesLaunched atomic.Int64
-	hedgesWon, repairs        atomic.Int64
+	failovers, repairs atomic.Int64
 
 	cFailovers *obs.Counter // remotecache.fleet.failovers
-	cHedges    *obs.Counter // remotecache.fleet.hedges
-	cHedgesWon *obs.Counter // remotecache.fleet.hedges_won
 	cRepairs   *obs.Counter // remotecache.fleet.repairs
 }
 
@@ -118,10 +100,7 @@ func NewFleet(opts FleetOptions) (*Fleet, error) {
 			len(opts.RoundTrippers), len(opts.BaseURLs))
 	}
 	f := &Fleet{
-		hedge:      opts.HedgeDelay,
 		cFailovers: opts.Obs.Counter("remotecache.fleet.failovers"),
-		cHedges:    opts.Obs.Counter("remotecache.fleet.hedges"),
-		cHedgesWon: opts.Obs.Counter("remotecache.fleet.hedges_won"),
 		cRepairs:   opts.Obs.Counter("remotecache.fleet.repairs"),
 	}
 	seen := make(map[string]bool, len(opts.BaseURLs))
@@ -210,59 +189,29 @@ func (f *Fleet) Preference(key diskcache.Key) []string {
 	return out
 }
 
-// nodeResult is one node-level lookup outcome inside a fleet Get.
-type nodeResult struct {
-	payload []byte
-	res     GetResult
-}
-
 // Get walks the key's preference order until a node serves a verified
 // hit. Failures and open circuits advance the walk; clean misses do
 // too, because the entry may have been placed further down while an
 // earlier node was sick. Exactly one fleet-level hit or miss is counted
-// per call, whatever the walk (or a won hedge) did underneath.
+// per call, whatever the walk did underneath.
 func (f *Fleet) Get(key diskcache.Key, kind uint32) ([]byte, bool) {
 	f.gets.Add(1)
 	order := f.order(key)
 	primaryFailed := false
 	answered := false
-
-	serve := func(pos int, payload []byte) ([]byte, bool) {
-		f.hits.Add(1)
-		if pos > 0 {
-			if primaryFailed {
-				f.failovers.Add(1)
-				f.cFailovers.Add(1)
-			}
-			f.repair(order[:pos], key, kind, payload)
-		}
-		return payload, true
-	}
-
-	i := 0
-	if f.hedge > 0 && len(order) > 1 {
-		pRes, hRes, launched := f.hedgedPair(f.nodes[order[0]], f.nodes[order[1]], key, kind)
-		if pRes != nil && pRes.res == GetHit {
-			return serve(0, pRes.payload)
-		}
-		if hRes != nil && hRes.res == GetHit {
-			f.hedgesWon.Add(1)
-			f.cHedgesWon.Add(1)
-			return serve(1, hRes.payload)
-		}
-		// Neither side hit: both results are in (hRes only if launched).
-		primaryFailed = pRes.res == GetFailed || pRes.res == GetSkipped
-		answered = pRes.res == GetMiss || (hRes != nil && hRes.res == GetMiss)
-		i = 1
-		if launched {
-			i = 2
-		}
-	}
-	for ; i < len(order); i++ {
-		r := f.getFrom(f.nodes[order[i]], key, kind)
-		switch r.res {
+	for i, ni := range order {
+		payload, res := f.nodes[ni].c.GetClassified(key, kind)
+		switch res {
 		case GetHit:
-			return serve(i, r.payload)
+			f.hits.Add(1)
+			if i > 0 {
+				if primaryFailed {
+					f.failovers.Add(1)
+					f.cFailovers.Add(1)
+				}
+				f.repair(order[:i], key, kind, payload)
+			}
+			return payload, true
 		case GetMiss:
 			answered = true
 		default:
@@ -279,58 +228,6 @@ func (f *Fleet) Get(key diskcache.Key, kind uint32) ([]byte, bool) {
 		f.cFailovers.Add(1)
 	}
 	return nil, false
-}
-
-func (f *Fleet) getFrom(n *fleetNode, key diskcache.Key, kind uint32) nodeResult {
-	payload, res := n.c.GetClassified(key, kind)
-	return nodeResult{payload: payload, res: res}
-}
-
-// hedgedPair races the preferred node against the next one: the second
-// request launches only if the first has not answered within the hedge
-// delay, and the first verified hit wins. On a hit the loser may still
-// be in flight (its result is nil here; the goroutine finishes in the
-// background and Close waits for it). With no hit, both resolved
-// results are returned so the caller can classify the pair.
-func (f *Fleet) hedgedPair(primary, hedge *fleetNode, key diskcache.Key, kind uint32) (pRes, hRes *nodeResult, launched bool) {
-	prim := make(chan nodeResult, 1)
-	f.wg.Add(1)
-	go func() {
-		defer f.wg.Done()
-		prim <- f.getFrom(primary, key, kind)
-	}()
-
-	timer := time.NewTimer(f.hedge)
-	defer timer.Stop()
-	select {
-	case r := <-prim:
-		return &r, nil, false
-	case <-timer.C:
-	}
-
-	f.hedgesLaunched.Add(1)
-	f.cHedges.Add(1)
-	hch := make(chan nodeResult, 1)
-	f.wg.Add(1)
-	go func() {
-		defer f.wg.Done()
-		hch <- f.getFrom(hedge, key, kind)
-	}()
-	for pRes == nil || hRes == nil {
-		select {
-		case r := <-prim:
-			pRes = &r
-			if r.res == GetHit {
-				return pRes, nil, true
-			}
-		case r := <-hch:
-			hRes = &r
-			if r.res == GetHit {
-				return nil, hRes, true
-			}
-		}
-	}
-	return pRes, hRes, true
 }
 
 // repair queues an asynchronous read-repair put of a secondary hit back
@@ -391,10 +288,8 @@ func (f *Fleet) Flush(ctx context.Context) error {
 	return nil
 }
 
-// Close waits for in-flight hedge reads, then drains and stops every
-// node's write-behind worker.
+// Close drains and stops every node's write-behind worker.
 func (f *Fleet) Close() error {
-	f.wg.Wait()
 	var first error
 	for _, n := range f.nodes {
 		if err := n.c.Close(); err != nil && first == nil {
@@ -428,10 +323,8 @@ func (f *Fleet) Stats() Stats {
 		Hits:   f.hits.Load(),
 		Misses: f.misses.Load(),
 
-		Failovers:      f.failovers.Load(),
-		HedgesLaunched: f.hedgesLaunched.Load(),
-		HedgesWon:      f.hedgesWon.Load(),
-		Repairs:        f.repairs.Load(),
+		Failovers: f.failovers.Load(),
+		Repairs:   f.repairs.Load(),
 
 		Corruptions: f.corrupt.Load(),
 		Circuit:     f.State().String(),

@@ -15,8 +15,7 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
-# -short gates the slow soaks (disk-cache fault soak, fleet hedge soak)
-# and the farm e2e; set short=1 to run the fast profile.
+# -short gates the slow soaks (disk-cache fault soak) and the farm e2e; set short=1 to run the fast profile.
 SHORTFLAG=''
 if [ "${short:-0}" = 1 ]; then
 	SHORTFLAG='-short'
@@ -39,6 +38,12 @@ go vet ./...
 echo '== tier-1: go test ./...'
 go test ./...
 
+# perfbench is its own Go module, so tier-1 does not reach it, but it
+# imports the ccmd, pipeline and remotecache types: vet it so a change
+# to their shape cannot break the benchmark harness unseen.
+echo '== perfbench: go vet ./...'
+(cd perfbench && GOWORK=off GOFLAGS= go vet ./...)
+
 echo "== race: go test -race $SHORTFLAG ./internal/pipeline/... ./internal/oracle/..."
 go test -race $SHORTFLAG ./internal/pipeline/... ./internal/oracle/...
 
@@ -54,17 +59,16 @@ go test -race ./internal/obs/...
 echo "== race: go test -race $SHORTFLAG ./internal/diskcache/..."
 go test -race $SHORTFLAG ./internal/diskcache/...
 
-# The tenant-protection substrate: the request journal (CRC-framed WAL,
-# torn-tail truncation, quarantine), the per-tenant token bucket, and
-# the bearer-token check are all called from concurrent handlers, so
-# their suites always run under the race detector.
-echo '== race: go test -race ./internal/journal/... ./internal/ratelimit/... ./internal/authtoken/...'
-go test -race ./internal/journal/... ./internal/ratelimit/... ./internal/authtoken/...
+# The tenant-protection substrate: the per-tenant token bucket and the
+# bearer-token check are both called from concurrent handlers, so their
+# suites always run under the race detector.
+echo '== race: go test -race ./internal/ratelimit/... ./internal/authtoken/...'
+go test -race ./internal/ratelimit/... ./internal/authtoken/...
 
 # The compile service multiplexes concurrent clients over one shared
 # driver; its suite (admission backpressure, rate limiting, fair-share,
-# shedding, drain, the N-client byte-identity matrix, the journal fault
-# matrix) always runs under the race detector.
+# shedding, drain, the N-client byte-identity matrix) always runs under
+# the race detector.
 echo '== race: go test -race ./internal/ccmd/...'
 go test -race ./internal/ccmd/...
 
@@ -74,18 +78,17 @@ go test -race ./internal/ccmd/...
 echo '== e2e: go test -race -run TestDaemonSmoke ./cmd/ccmd/'
 go test -race -run TestDaemonSmoke ./cmd/ccmd/
 
-# Journal crash-recovery smoke: start ccmd with a journal, accept a
-# compile, SIGKILL, restart on the same journal, and assert the replay
-# log line plus a byte-identical re-serve.
-echo '== e2e: go test -race -run TestJournalCrashRecoverySmoke ./cmd/ccmd/'
-go test -race -run TestJournalCrashRecoverySmoke ./cmd/ccmd/
+# Warm-restart smoke: start ccmd with -cache-dir, serve a compile,
+# SIGKILL, restart on the same directory, and assert a byte-identical
+# re-serve as a program-tier disk hit with no pass run.
+echo '== e2e: go test -race -run TestDiskCacheRestartSmoke ./cmd/ccmd/'
+go test -race -run TestDiskCacheRestartSmoke ./cmd/ccmd/
 
 # The remote cache tier (client breaker/retries/verification, server
 # ingest verification, fault-injecting RoundTripper) and the replicated
-# fleet on top of it (rendezvous placement, failover walk, hedged
-# reads, read-repair) are concurrent by construction; the suite always
-# runs under the race detector. The fleet hedge soak is skipped under
-# -short.
+# fleet on top of it (rendezvous placement, failover walk,
+# read-repair) are concurrent by construction; the suite always runs
+# under the race detector.
 echo "== race: go test -race $SHORTFLAG ./internal/remotecache/..."
 go test -race $SHORTFLAG ./internal/remotecache/...
 
