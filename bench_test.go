@@ -342,6 +342,7 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 		b.Fatal(err)
 	}
 	var instrs int64
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		st, err := m.Run("main")

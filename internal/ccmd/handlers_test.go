@@ -181,6 +181,31 @@ func TestHTTPRun(t *testing.T) {
 	}
 }
 
+// TestHTTPWildAddressFaults: a load from an address near MaxInt64 is a
+// program fault, not a handler panic, on both routes that execute code:
+// /run answers 422 run-fault, and a differential-checked /compile
+// completes because the oracle sees the same fault before and after.
+func TestHTTPWildAddressFaults(t *testing.T) {
+	_, ts := newTestHTTP(t, nil)
+	const prog = "func main() {\nentry:\n\tr0 = loadi 9223372036854775800\n\tr1 = load r0\n\tret\n}\n"
+
+	resp := postJSON(t, ts.URL+"/run", RunRequest{Program: prog})
+	if resp.StatusCode != http.StatusUnprocessableEntity {
+		t.Fatalf("/run: status %d, want 422", resp.StatusCode)
+	}
+	if e := decodeBody[errEnvelope](t, resp); e.Error == nil || e.Error.Code != CodeRunFault {
+		t.Fatalf("/run error: %+v", e.Error)
+	}
+
+	resp = postJSON(t, ts.URL+"/compile", CompileRequest{Program: prog, Config: RequestConfig{DiffCheck: "final"}})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("/compile diff_check=final: status %d, want 200", resp.StatusCode)
+	}
+	if out := decodeBody[CompileResponse](t, resp); out.Output == "" {
+		t.Fatal("/compile diff_check=final: empty output")
+	}
+}
+
 func TestHTTPHealthAndVersion(t *testing.T) {
 	svc, ts := newTestHTTP(t, nil)
 	for _, path := range []string{"/healthz", "/readyz"} {

@@ -10,6 +10,7 @@ import (
 type execState struct {
 	m      *Machine
 	mem    []uint64
+	dirty  int64 // words [dirty, len(mem)) are still zero
 	ccm    []uint64
 	st     *Stats
 	frames []frame
@@ -51,14 +52,27 @@ func (ex *execState) cancelled() bool {
 	}
 }
 
+// checkAddr bounds and aligns a main-memory access. The upper bound is
+// compared in subtraction form: addr+WordBytes would wrap for addresses
+// near MaxInt64 and let them through to the index.
 func (ex *execState) checkAddr(fr *frame, addr int64) error {
-	if addr < ir.WordBytes || addr+ir.WordBytes > ex.limit {
+	if addr < ir.WordBytes || addr > ex.limit-ir.WordBytes {
 		return ex.fault(fr, "memory access at %d outside [8, %d)", addr, ex.limit)
 	}
 	if addr%ir.WordBytes != 0 {
 		return ex.fault(fr, "unaligned memory access at %d", addr)
 	}
 	return nil
+}
+
+// storeWord writes a word at an address checkAddr accepted and raises the
+// dirty mark over it, so the image's next user clears it.
+func (ex *execState) storeWord(addr int64, v uint64) {
+	w := addr / ir.WordBytes
+	ex.mem[w] = v
+	if w >= ex.dirty {
+		ex.dirty = w + 1
+	}
 }
 
 // run drives the interpreter from an initial frame until the outermost
@@ -208,7 +222,7 @@ func (ex *execState) run(f0 frame) error {
 				if err := ex.checkAddr(fr, addr); err != nil {
 					return err
 				}
-				ex.mem[addr/ir.WordBytes] = regs[in.a0]
+				ex.storeWord(addr, regs[in.a0])
 				cost, isMem = ex.memCost(addr, true), true
 				st.OrdinaryStores++
 			case ir.OpStoreAI, ir.OpFStoreAI:
@@ -216,7 +230,7 @@ func (ex *execState) run(f0 frame) error {
 				if err := ex.checkAddr(fr, addr); err != nil {
 					return err
 				}
-				ex.mem[addr/ir.WordBytes] = regs[in.a0]
+				ex.storeWord(addr, regs[in.a0])
 				cost, isMem = ex.memCost(addr, true), true
 				st.OrdinaryStores++
 
@@ -225,7 +239,7 @@ func (ex *execState) run(f0 frame) error {
 				if err := ex.checkAddr(fr, addr); err != nil {
 					return err
 				}
-				ex.mem[addr/ir.WordBytes] = regs[in.a0]
+				ex.storeWord(addr, regs[in.a0])
 				cost, isMem = ex.memCost(addr, true), true
 				st.SpillStores++
 			case ir.OpRestore, ir.OpFRestore:
@@ -287,7 +301,7 @@ func (ex *execState) run(f0 frame) error {
 				if len(ex.frames) >= cfg.MaxDepth {
 					return ex.faultKind(fr, FaultLimit, "call depth limit %d exceeded", cfg.MaxDepth)
 				}
-				if ex.sp+callee.frameBytes > ex.limit {
+				if callee.frameBytes > ex.limit-ex.sp {
 					return ex.faultKind(fr, FaultLimit, "stack overflow: %d bytes needed", callee.frameBytes)
 				}
 				nf := frame{
@@ -372,7 +386,7 @@ func (ex *execState) ccmSlot(fr *frame, off int64) (int64, error) {
 	if ex.ccm == nil {
 		return 0, ex.fault(fr, "CCM access at %d but no CCM configured", off)
 	}
-	if eff < 0 || eff+ir.WordBytes > ex.m.cfg.CCMBytes {
+	if eff < 0 || eff > ex.m.cfg.CCMBytes-ir.WordBytes {
 		return 0, ex.fault(fr, "CCM access at %d (base %d) outside %d-byte CCM",
 			off, ex.m.cfg.CCMBase, ex.m.cfg.CCMBytes)
 	}

@@ -26,7 +26,7 @@ func mustParse(t *testing.T, src string) *ir.Program {
 // error or a panic: the differential oracle keys off Fault.Kind to tell a
 // genuine semantic error from a resource limit.
 func TestFaultPaths(t *testing.T) {
-	cases := []struct {
+	type faultCase struct {
 		name      string
 		src       string
 		cfg       Config
@@ -34,7 +34,8 @@ func TestFaultPaths(t *testing.T) {
 		wantBlock string
 		wantMsg   string
 		wantKind  FaultKind
-	}{
+	}
+	cases := []faultCase{
 		{
 			name: "unaligned access",
 			src: `func main() {
@@ -138,6 +139,41 @@ entry:
 			wantMsg:   "no CCM configured",
 			wantKind:  FaultSemantic,
 		},
+	}
+	// Wild addresses: each effective address is 2^63-8, where the sum
+	// address+WordBytes wraps negative, so a bounds check written in
+	// addition form would pass it through to the memory index as a panic.
+	const (
+		top  = "9223372036854775800" // 2^63-8
+		frOf = "9223372036854775792" // top minus main's frame base (8)
+	)
+	for _, w := range []struct{ name, body string }{
+		{"load", "r0 = loadi " + top + "\n\tr1 = load r0"},
+		{"fload", "r0 = loadi " + top + "\n\tf1 = fload r0"},
+		{"store", "r0 = loadi " + top + "\n\tr1 = loadi 1\n\tstore r1, r0"},
+		{"fstore", "r0 = loadi " + top + "\n\tf1 = loadf 1.5\n\tfstore f1, r0"},
+		{"loadai immediate", "r0 = loadi 8\n\tr1 = loadai r0, " + frOf},
+		{"floadai immediate", "r0 = loadi 8\n\tf1 = floadai r0, " + frOf},
+		{"storeai immediate", "r0 = loadi 8\n\tr1 = loadi 1\n\tstoreai r1, r0, " + frOf},
+		{"fstoreai immediate", "r0 = loadi 8\n\tf1 = loadf 1.5\n\tfstoreai f1, r0, " + frOf},
+		{"spill", "r0 = loadi 1\n\tspill r0, " + frOf},
+		{"fspill", "f0 = loadf 1.5\n\tfspill f0, " + frOf},
+		{"restore", "r0 = restore " + frOf},
+		{"frestore", "f0 = frestore " + frOf},
+		{"ccmspill", "r0 = loadi 1\n\tccmspill r0, " + top},
+		{"ccmfspill", "f0 = loadf 1.5\n\tccmfspill f0, " + top},
+		{"ccmrestore", "r0 = ccmrestore " + top},
+		{"ccmfrestore", "f0 = ccmfrestore " + top},
+	} {
+		cases = append(cases, faultCase{
+			name:      "wild " + w.name,
+			src:       "func main() {\nentry:\n\t" + w.body + "\n\tret\n}\n",
+			cfg:       Config{CCMBytes: 512},
+			wantFunc:  "main",
+			wantBlock: "entry",
+			wantMsg:   "outside",
+			wantKind:  FaultSemantic,
+		})
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -1,0 +1,6 @@
+//go:build !race
+
+package sim
+
+// raceEnabled reports a -race build, whose sync.Pool drops puts at random.
+const raceEnabled = false

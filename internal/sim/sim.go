@@ -12,6 +12,14 @@
 // "Cycles spent in memory operations" counts every load/store-class
 // instruction at its cost, CCM operations included — the accounting that
 // matches the paper's paired (total, memory) ratios.
+//
+// Memory image. Every run starts from a main memory that is zero except
+// for the initialized globals, whatever ran before it. The word arrays
+// behind those images are reused across runs (and across Machines)
+// through a package-level pool: each image carries a high-water mark of
+// the words any run may have written, and the next run clears only
+// those words before it copies the globals in. A run's Stats never
+// reference its image, so nothing a caller holds observes the reuse.
 package sim
 
 import (
@@ -19,6 +27,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"sync"
 
 	"ccmem/internal/ir"
 	"ccmem/internal/memsys"
@@ -209,6 +218,12 @@ type rfunc struct {
 
 // Machine is a resolved program ready to run; resolving once lets tests
 // and benchmarks execute many times without re-walking the IR.
+//
+// A Machine runs one execution at a time: RunContext resets and fills
+// per-function counters the Machine owns, and the returned Stats.PerFunc
+// points at them until the next run. Runs on different Machines may
+// proceed concurrently. Each run sees a freshly zeroed main memory
+// holding only the globals' initial values (see the package comment).
 type Machine struct {
 	cfg        Config
 	prog       *ir.Program
@@ -359,6 +374,11 @@ func (m *Machine) RunContext(ctx context.Context, entry string, args ...Value) (
 	if len(args) != len(rf.f.Params) {
 		return nil, fmt.Errorf("sim: %s wants %d arguments, got %d", entry, len(rf.f.Params), len(args))
 	}
+	for i, p := range rf.f.Params {
+		if rf.f.RegClass(p) == ir.ClassFloat != args[i].IsFloat {
+			return nil, fmt.Errorf("sim: %s argument %d class mismatch", entry, i)
+		}
+	}
 	for _, frf := range m.funcs {
 		*frf.stats = FuncStats{}
 	}
@@ -366,7 +386,8 @@ func (m *Machine) RunContext(ctx context.Context, entry string, args ...Value) (
 		m.cfg.Memory.Reset()
 	}
 
-	mem := make([]uint64, m.memWords)
+	im := getImage(m.memWords)
+	mem := im.words[:m.memWords]
 	a := int64(ir.WordBytes) / ir.WordBytes
 	for _, g := range m.prog.Globals {
 		copy(mem[a:a+int64(g.Words)], g.Init)
@@ -385,6 +406,7 @@ func (m *Machine) RunContext(ctx context.Context, entry string, args ...Value) (
 	ex := &execState{
 		m:     m,
 		mem:   mem,
+		dirty: a,
 		ccm:   ccm,
 		st:    st,
 		sp:    m.globalEnd,
@@ -394,19 +416,40 @@ func (m *Machine) RunContext(ctx context.Context, entry string, args ...Value) (
 	f0 := frame{fn: rf, regs: make([]uint64, rf.nregs), base: ex.sp, retDst: ir.NoReg}
 	ex.sp += rf.frameBytes
 	for i, p := range rf.f.Params {
-		if rf.f.RegClass(p) == ir.ClassFloat != args[i].IsFloat {
-			return nil, fmt.Errorf("sim: %s argument %d class mismatch", entry, i)
-		}
 		f0.regs[p] = args[i].Bits
 	}
 	rf.stats.Calls++
-	if err := ex.run(f0); err != nil {
+	err := ex.run(f0)
+	im.dirty = ex.dirty
+	imagePool.Put(im)
+	if err != nil {
 		return st, err
 	}
 	if ex.hasRet {
 		st.Ret, st.HasRet = ex.ret, true
 	}
 	return st, nil
+}
+
+// image is a reusable main-memory word array. Words at and above dirty
+// are zero; the words below it are whatever the last run left there.
+type image struct {
+	words []uint64
+	dirty int64
+}
+
+// imagePool holds images between runs; see the package comment.
+var imagePool sync.Pool
+
+// getImage returns an image of at least n words that is all zero. A
+// pooled image too small for n is dropped for a new one.
+func getImage(n int) *image {
+	if im, ok := imagePool.Get().(*image); ok && len(im.words) >= n {
+		clear(im.words[:im.dirty])
+		im.dirty = 0
+		return im
+	}
+	return &image{words: make([]uint64, n)}
 }
 
 // Run resolves and executes in one step (convenience for tests).

@@ -433,6 +433,9 @@ entry:
 }
 
 func TestMachineReuse(t *testing.T) {
+	// Each run reads a global, a spill slot and a high stack word before
+	// it writes them, so a value left by the previous run would show in
+	// the emitted reads.
 	src := `
 global G 1
 func main() {
@@ -443,6 +446,12 @@ entry:
 	r3 = add r1, r2
 	store r3, r0
 	emit r3
+	r4 = restore 0
+	emit r4
+	spill r3, 0
+	r5 = loadai r0, 4096
+	emit r5
+	storeai r3, r0, 4096
 	ret
 }
 `
@@ -451,14 +460,18 @@ entry:
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Memory is rebuilt per run: both runs must emit 1, not accumulate.
+	// Memory is rebuilt per run: both runs must emit 1 0 0, not accumulate.
 	for i := 0; i < 2; i++ {
 		st, err := m.Run("main")
 		if err != nil {
 			t.Fatal(err)
 		}
-		if st.Output[0].Int() != 1 {
-			t.Fatalf("run %d: emitted %v (state leaked across runs)", i, st.Output[0])
+		var got []int64
+		for _, v := range st.Output {
+			got = append(got, v.Int())
+		}
+		if len(got) != 3 || got[0] != 1 || got[1] != 0 || got[2] != 0 {
+			t.Fatalf("run %d: emitted %v, want [1 0 0] (state leaked across runs)", i, got)
 		}
 	}
 }

@@ -3,10 +3,10 @@
 #
 # Runs tier-1 (build, vet, full test suite), then the race-detector
 # suites the ROADMAP requires for the concurrent driver, the miscompile
-# oracle, and the persistent disk cache. The long fault-injection soak
-# is part of the default run; pass short=1 in the environment to gate it
-# off (go test -short). Intended for CI and for humans before
-# committing:
+# oracle, the simulator's shared image pool, and the persistent disk
+# cache. The long fault-injection soak is part of the default run; pass
+# short=1 in the environment to gate it off (go test -short). Intended
+# for CI and for humans before committing:
 #
 #	./scripts/verify.sh
 #
@@ -46,6 +46,12 @@ echo '== perfbench: go vet ./...'
 
 echo "== race: go test -race $SHORTFLAG ./internal/pipeline/... ./internal/oracle/..."
 go test -race $SHORTFLAG ./internal/pipeline/... ./internal/oracle/...
+
+# The simulator shares one pool of main-memory images across every
+# Machine and goroutine; its suite runs concurrent programs against a
+# serial reference under the race detector.
+echo '== race: go test -race ./internal/sim/...'
+go test -race ./internal/sim/...
 
 # The observability subsystem's whole point is concurrent-safe counters
 # and per-worker span shards, so its suite always runs under the race
@@ -109,11 +115,12 @@ echo "== e2e: go test $SHORTFLAG -run 'TestFarmMatchesSolo|TestFarmWorkerFailure
 go test $SHORTFLAG -run 'TestFarmMatchesSolo|TestFarmWorkerFailureFailsLoudly|TestFarmFleetFailoverTransparent' ./cmd/ccmbench/
 
 # Allocation guards: the program-tier cache hit must stay clone-free
-# (handing out frozen artifacts by reference) and the liveness solver
-# must keep its reset-not-realloc arena discipline. Run with -count=1 so
-# a cached 'ok' can never mask an allocation regression, and without
-# -race (the race runtime inflates allocation counts).
-echo "== alloc-guard: go test -count=1 -run 'TestAllocGuard' ./internal/pipeline/ ./internal/liveness/"
-go test -count=1 -run 'TestAllocGuard' ./internal/pipeline/ ./internal/liveness/
+# (handing out frozen artifacts by reference), the liveness solver
+# must keep its reset-not-realloc arena discipline, and a warm simulator
+# run must reuse its pooled memory image. Run with -count=1 so a cached
+# 'ok' can never mask an allocation regression, and without -race (the
+# race runtime inflates allocation counts and drops sync.Pool puts).
+echo "== alloc-guard: go test -count=1 -run 'TestAllocGuard' ./internal/pipeline/ ./internal/liveness/ ./internal/sim/"
+go test -count=1 -run 'TestAllocGuard' ./internal/pipeline/ ./internal/liveness/ ./internal/sim/
 
 echo '== verify.sh: all green'
