@@ -131,7 +131,7 @@ func ParseStrategy(s string) (Strategy, error) {
 // paper's baseline: 32+32 registers, optimizer on, no CCM.
 type Config struct {
 	Strategy Strategy
-	CCMBytes int64 // capacity of the CCM; required unless Strategy is NoCCM
+	CCMBytes int64 // capacity of the CCM; required unless Strategy is NoCCM; at most 64 KiB
 
 	IntRegs   int // default 32
 	FloatRegs int // default 32
@@ -448,7 +448,7 @@ type RunOption func(*sim.Config)
 func WithMemCost(c int) RunOption { return func(s *sim.Config) { s.MemCost = c } }
 
 // WithCCMBytes overrides the CCM capacity at run time (defaults to the
-// size the program was compiled for).
+// size the program was compiled for); at most 64 KiB.
 func WithCCMBytes(n int64) RunOption { return func(s *sim.Config) { s.CCMBytes = n } }
 
 // WithCCMBase sets the per-process CCM base register (paper §2.1).

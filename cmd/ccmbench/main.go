@@ -24,14 +24,21 @@
 // and runs — aborts the run with the first divergent pass named instead
 // of silently skewing a table.
 //
-// Without selection flags it prints everything. Every measurement runs
-// through one shared compilation driver (internal/pipeline), so compile
-// artifacts are cached across tables and figures; -cache-dir extends
-// that cache across ccmbench invocations via the crash-safe persistent
-// tier (integrity-verified, LRU-bounded by -cache-bytes), so a repeat
-// run skips every compile that hasn't changed. -json prints the
-// driver's cumulative report (per-pass wall time, per-tier cache
-// hit/miss counters and the computed hit rate) to stderr after the run.
+// Without selection flags it prints everything; -table N measures only
+// the routine suite and -figure N only the program suite. -workers sizes
+// the driver's worker pool, which bounds both the functions compiled at
+// once inside one compile and the suite measurements run at once. Every
+// measurement is a simulated cycle count, so the output is byte-identical
+// at every worker count.
+//
+// Every measurement runs through one shared compilation driver
+// (internal/pipeline), so compile artifacts are cached across tables and
+// figures; -cache-dir extends that cache across ccmbench invocations via
+// the crash-safe persistent tier (integrity-verified, LRU-bounded by
+// -cache-bytes), so a repeat run skips every compile that hasn't
+// changed. -json prints the driver's cumulative report (per-pass wall
+// time, per-tier cache hit/miss counters and the computed hit rate) to
+// stderr after the run.
 //
 // -metrics-out writes that same cumulative report — plus the metrics
 // registry snapshot (pass-latency histograms, allocator and CCM
@@ -99,7 +106,7 @@ func main() {
 	multiproc := flag.Bool("multiproc", false, "print only the §2.1 multi-process comparison")
 	markdown := flag.Bool("markdown", false, "emit the full evaluation as a markdown report")
 	memCost := flag.Int("memcost", 2, "cycles per main-memory operation")
-	workers := flag.Int("workers", 0, "compilation worker pool size (0 = GOMAXPROCS)")
+	workers := flag.Int("workers", 0, "compilation worker pool size, which also bounds how many suite measurements run at once (0 = GOMAXPROCS)")
 	jsonOut := flag.Bool("json", false, "print the cumulative pipeline report as JSON to stderr")
 	verifyPasses := flag.Bool("verify-passes", false, "verify IR and liveness invariants after every compilation pass")
 	timeout := flag.Duration("timeout", 0, "per-function compile attempt timeout (0 = none)")
@@ -281,7 +288,20 @@ func main() {
 		}
 	}
 
-	res, err := experiments.RunSuite(cfg)
+	// Tables 1-4 read only the routine suite and the figures only the
+	// program suite, so a single table or figure measures only its own.
+	run := experiments.RunSuite
+	switch {
+	case *table < 0 || *table > 4:
+		fatal(fmt.Errorf("no table %d", *table))
+	case *table != 0:
+		run = experiments.RunRoutineSuite
+	case *figure != 0 && *figure != 3 && *figure != 4:
+		fatal(fmt.Errorf("no figure %d", *figure))
+	case *figure != 0:
+		run = experiments.RunProgramSuite
+	}
+	res, err := run(cfg)
 	if err != nil {
 		fatal(err)
 	}
@@ -294,14 +314,10 @@ func main() {
 		fmt.Println(res.FormatTable3(512, 1024))
 	case *table == 4:
 		fmt.Println(res.FormatTable4())
-	case *table != 0:
-		fatal(fmt.Errorf("no table %d", *table))
 	case *figure == 3:
 		fmt.Println(res.FormatFigure(3, 512))
 	case *figure == 4:
 		fmt.Println(res.FormatFigure(4, 1024))
-	case *figure != 0:
-		fatal(fmt.Errorf("no figure %d", *figure))
 	default:
 		fmt.Println(res.FormatTable1())
 		fmt.Println(res.FormatTable2(512))

@@ -17,6 +17,7 @@ import (
 	"ccmem/internal/obs"
 	"ccmem/internal/pipeline"
 	"ccmem/internal/remotecache"
+	"ccmem/internal/sim"
 )
 
 func newTestHTTP(t *testing.T, mut func(*Config)) (*Service, *httptest.Server) {
@@ -146,6 +147,30 @@ func TestHTTPValidation(t *testing.T) {
 		}
 	}
 
+	// The CCM capacity is bounded on both endpoints: the allocators and
+	// the simulator size tables by it, so a huge capacity is refused
+	// before any work.
+	for _, rc := range []RequestConfig{
+		{Strategy: "postpass", CCMBytes: 1 << 40},
+		{Strategy: "integrated", CCMBytes: sim.MaxCCMBytes + 8},
+		{CCMBytes: 1 << 40},
+	} {
+		resp = postJSON(t, ts.URL+"/compile", CompileRequest{Program: testProgram(t, 1), Config: rc})
+		if resp.StatusCode != 400 {
+			t.Fatalf("ccm %+v: status %d, want 400", rc, resp.StatusCode)
+		}
+		if e := decodeBody[errEnvelope](t, resp); e.Error == nil || e.Error.Code != CodeBadRequest || e.Error.Field != "config.ccm_bytes" {
+			t.Fatalf("ccm %+v error: %+v", rc, e.Error)
+		}
+	}
+	resp = postJSON(t, ts.URL+"/run", RunRequest{Program: testProgram(t, 1), CCMBytes: 1 << 40})
+	if resp.StatusCode != 400 {
+		t.Fatalf("/run ccm 1<<40: status %d, want 400", resp.StatusCode)
+	}
+	if e := decodeBody[errEnvelope](t, resp); e.Error == nil || e.Error.Code != CodeBadRequest || e.Error.Field != "ccm_bytes" {
+		t.Fatalf("/run ccm 1<<40 error: %+v", e.Error)
+	}
+
 	// GET on a POST route is a 405 from the method-aware mux.
 	getResp, err := http.Get(ts.URL + "/compile")
 	if err != nil {
@@ -203,6 +228,31 @@ func TestHTTPWildAddressFaults(t *testing.T) {
 	}
 	if out := decodeBody[CompileResponse](t, resp); out.Output == "" {
 		t.Fatal("/compile diff_check=final: empty output")
+	}
+}
+
+// TestHTTPCCMInputRejected: a program that already contains CCM
+// operations is refused by /compile as a bad program (the compiler owns
+// the CCM), while /run still executes it.
+func TestHTTPCCMInputRejected(t *testing.T) {
+	_, ts := newTestHTTP(t, nil)
+	const prog = "func main() int {\nentry:\n\tr0 = loadi 7\n\tccmspill r0, 0\n\tr1 = ccmrestore 0\n\tret r1\n}\n"
+
+	resp := postJSON(t, ts.URL+"/compile", CompileRequest{Program: prog})
+	if resp.StatusCode != http.StatusUnprocessableEntity {
+		t.Fatalf("/compile: status %d, want 422", resp.StatusCode)
+	}
+	if e := decodeBody[errEnvelope](t, resp); e.Error == nil || e.Error.Code != CodeBadProgram ||
+		!strings.Contains(e.Error.Message, "CCM operations") {
+		t.Fatalf("/compile error: %+v", e.Error)
+	}
+
+	resp = postJSON(t, ts.URL+"/run", RunRequest{Program: prog, CCMBytes: 8})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("/run: status %d, want 200", resp.StatusCode)
+	}
+	if out := decodeBody[RunResponse](t, resp); out.CCMOps != 2 {
+		t.Fatalf("/run: %d CCM ops, want 2", out.CCMOps)
 	}
 }
 

@@ -470,8 +470,8 @@ func (s *Service) pipelineConfig(req *CompileRequest, shed int) (pipeline.Config
 	if strat != pipeline.NoCCM && req.Config.CCMBytes <= 0 {
 		return zero, errBadRequest("config.ccm_bytes", "strategy %q requires ccm_bytes > 0", strat)
 	}
-	if req.Config.CCMBytes < 0 {
-		return zero, errBadRequest("config.ccm_bytes", "must be >= 0, got %d", req.Config.CCMBytes)
+	if req.Config.CCMBytes < 0 || req.Config.CCMBytes > sim.MaxCCMBytes {
+		return zero, errBadRequest("config.ccm_bytes", "must be in [0, %d], got %d", sim.MaxCCMBytes, req.Config.CCMBytes)
 	}
 	if req.Config.IntRegs < 0 || req.Config.IntRegs > pipeline.MaxRegs ||
 		req.Config.FloatRegs < 0 || req.Config.FloatRegs > pipeline.MaxRegs {
@@ -639,6 +639,9 @@ func (s *Service) Compile(ctx context.Context, req *CompileRequest) (*CompileRes
 
 // compileAPIError maps a pipeline error onto the typed wire error.
 func compileAPIError(err error) *APIError {
+	if errors.Is(err, pipeline.ErrCCMInput) {
+		return errBadProgram(err)
+	}
 	var me *pipeline.MiscompileError
 	if errors.As(err, &me) {
 		return &APIError{Status: http.StatusUnprocessableEntity, Code: CodeMiscompile, Message: me.Error()}
@@ -707,6 +710,9 @@ func (s *Service) Run(ctx context.Context, req *RunRequest) (*RunResponse, *APIE
 	}
 	if req.MaxSteps < 0 || req.MaxDepth < 0 || req.CCMBytes < 0 || req.MemCost < 0 {
 		return nil, errBadRequest("max_steps", "bounds and costs must be >= 0")
+	}
+	if req.CCMBytes > sim.MaxCCMBytes {
+		return nil, errBadRequest("ccm_bytes", "must be at most %d, got %d", sim.MaxCCMBytes, req.CCMBytes)
 	}
 	entry := req.Entry
 	if entry == "" {

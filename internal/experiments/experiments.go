@@ -17,6 +17,7 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"sync"
 	"time"
 
 	"ccmem/internal/ir"
@@ -289,75 +290,197 @@ func countCCMOps(f *ir.Func) int {
 // strategy at each CCM size. The whole run shares one driver, so the
 // compile cache carries artifacts across variants (the front stage is
 // identical for the baseline and both post-pass strategies).
-func RunSuite(cfg Config) (*SuiteResults, error) {
+//
+// The measurements run concurrently on Driver.Workers() goroutines (see
+// fanOut): item 0 is the whole program suite, run serially, and each
+// routine is one further item. Keeping the programs in one item keeps
+// at most one whole-program compile, the suite's largest, in flight;
+// starting it first starts the longest item first.
+func RunSuite(cfg Config) (*SuiteResults, error) { return runSuite(cfg, true) }
+
+// RunRoutineSuite measures every routine (Tables 1-4), one routine per
+// fanOut item.
+func RunRoutineSuite(cfg Config) (*SuiteResults, error) { return runSuite(cfg, false) }
+
+// runSuite measures the routines and, when programs is set, the program
+// suite as fanOut item 0.
+func runSuite(cfg Config, programs bool) (*SuiteResults, error) {
 	if cfg.Driver == nil {
 		cfg.Driver = cfg.driver()
 	}
-	res, err := RunRoutineSuite(cfg)
-	if err != nil {
-		return nil, err
+	routines := suiteRoutines(cfg)
+	res := &SuiteResults{Config: cfg, Routines: make([]*RoutineResult, len(routines))}
+	first := 0
+	if programs {
+		first = 1
 	}
-	progs, err := RunProgramSuite(cfg)
-	if err != nil {
-		return nil, err
-	}
-	res.Programs = progs.Programs
-	return res, nil
-}
-
-// RunRoutineSuite measures every routine (Tables 1-4).
-func RunRoutineSuite(cfg Config) (*SuiteResults, error) {
-	res := &SuiteResults{Config: cfg}
-	drv := cfg.driver()
-
-	for i, r := range workload.All() {
-		if cfg.ShardCount > 1 && i%cfg.ShardCount != cfg.ShardIndex {
-			continue
-		}
-		rr := &RoutineResult{
-			Name:   r.Name,
-			Family: r.Family,
-			Strat:  map[Key]CycPair{},
-			Promo:  map[Key]int{},
-		}
-
-		// Baseline (and Table 1 compaction measurements).
-		p, err := r.Build()
-		if err != nil {
-			return nil, err
-		}
-		rep, err := compileWith(drv, p, StrategyNone, 0, cfg, true)
-		if err != nil {
-			return nil, fmt.Errorf("routine %s: %w", r.Name, err)
-		}
-		fr := rep.PerFunc[r.Name]
-		rr.SpillBefore = fr.SpillBytesNaive
-		rr.SpillAfter = fr.SpillBytesCompacted
-		rr.Webs = fr.SpillWebs
-		st, err := runProgram(p, 0, cfg)
-		if err != nil {
-			return nil, fmt.Errorf("routine %s baseline: %w", r.Name, err)
-		}
-		fs := st.PerFunc[r.Name]
-		rr.Base = CycPair{Cycles: fs.Cycles, Mem: fs.MemOpCycles}
-
-		for _, size := range cfg.CCMSizes {
-			for _, strat := range Strategies {
-				pair, promo, err := measureRoutine(drv, r, strat, size, cfg)
-				if err != nil {
-					return nil, fmt.Errorf("routine %s %v/%d: %w", r.Name, strat, size, err)
-				}
-				k := Key{strat, size}
-				rr.Strat[k] = pair
-				rr.Promo[k] = promo
+	err := fanOut(cfg.ctx(), cfg.Driver.Workers(), first+len(routines), func(i int) error {
+		if i < first {
+			progs, err := RunProgramSuite(cfg)
+			if err != nil {
+				return err
 			}
+			res.Programs = progs.Programs
+			return nil
 		}
-		res.Routines = append(res.Routines, rr)
+		rr, err := measureRoutineVariants(cfg, routines[i-first])
+		res.Routines[i-first] = rr
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
 	return res, nil
 }
 
-// RunProgramSuite measures the whole-program workloads (Figures 3-4).
+// suiteRoutines lists the routines this process measures: all of
+// workload.All(), or this farm shard's share of it.
+func suiteRoutines(cfg Config) []workload.Routine {
+	all := workload.All()
+	if cfg.ShardCount <= 1 {
+		return all
+	}
+	var mine []workload.Routine
+	for i, r := range all {
+		if i%cfg.ShardCount == cfg.ShardIndex {
+			mine = append(mine, r)
+		}
+	}
+	return mine
+}
+
+// measureRoutineVariants measures one routine: the baseline (with the
+// Table 1 compaction figures), then each strategy at each CCM size.
+func measureRoutineVariants(cfg Config, r workload.Routine) (*RoutineResult, error) {
+	drv := cfg.Driver
+	rr := &RoutineResult{
+		Name:   r.Name,
+		Family: r.Family,
+		Strat:  map[Key]CycPair{},
+		Promo:  map[Key]int{},
+	}
+
+	p, err := r.Build()
+	if err != nil {
+		return nil, err
+	}
+	rep, err := compileWith(drv, p, StrategyNone, 0, cfg, true)
+	if err != nil {
+		return nil, fmt.Errorf("routine %s: %w", r.Name, err)
+	}
+	fr := rep.PerFunc[r.Name]
+	rr.SpillBefore = fr.SpillBytesNaive
+	rr.SpillAfter = fr.SpillBytesCompacted
+	rr.Webs = fr.SpillWebs
+	st, err := runProgram(p, 0, cfg)
+	if err != nil {
+		return nil, fmt.Errorf("routine %s baseline: %w", r.Name, err)
+	}
+	fs := st.PerFunc[r.Name]
+	rr.Base = CycPair{Cycles: fs.Cycles, Mem: fs.MemOpCycles}
+
+	for _, size := range cfg.CCMSizes {
+		for _, strat := range Strategies {
+			pair, promo, err := measureRoutine(drv, r, strat, size, cfg)
+			if err != nil {
+				return nil, fmt.Errorf("routine %s %v/%d: %w", r.Name, strat, size, err)
+			}
+			k := Key{strat, size}
+			rr.Strat[k] = pair
+			rr.Promo[k] = promo
+		}
+	}
+	return rr, nil
+}
+
+// fanOut runs fn(i) for every i in [0,n) on up to workers goroutines and
+// waits for them. Items are handed out in index order, each result goes
+// into its caller's slot i, and every measurement is simulated cycles, so
+// the outcome does not depend on scheduling. With one worker the items
+// run one after another in index order.
+//
+// ctx is checked before each item is handed out. After the first failure
+// no new item is handed out, but items already running finish (they are
+// not cancelled). The error returned is the lowest-index one, which is
+// exactly the error a serial loop stops at: every lower index was handed
+// out earlier and ran to completion. pipeline.Driver's own pool returns
+// whichever error came first in time, which would make the reported
+// failure depend on scheduling.
+func fanOut(ctx context.Context, workers, n int, fn func(i int) error) error {
+	q := &itemQueue{ctx: ctx, errs: make([]error, n)}
+	workers = max(1, min(workers, n))
+	var wg sync.WaitGroup
+	wg.Add(workers)
+	for w := 0; w < workers; w++ {
+		go func() {
+			defer wg.Done()
+			for {
+				i, ok := q.claim()
+				if !ok {
+					return
+				}
+				q.done(i, fn(i))
+			}
+		}()
+	}
+	wg.Wait()
+	return q.err()
+}
+
+// itemQueue is fanOut's dispatcher. Claiming an index and checking for a
+// failure happen under one lock, so an index is either never handed out
+// or handed out and run to completion.
+type itemQueue struct {
+	ctx    context.Context
+	mu     sync.Mutex
+	next   int
+	failed bool
+	errs   []error // one slot per index
+}
+
+// claim hands out the next index, or reports false once every index is
+// handed out, an item has failed, or ctx is done.
+func (q *itemQueue) claim() (int, bool) {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	if q.failed || q.next >= len(q.errs) {
+		return 0, false
+	}
+	i := q.next
+	q.next++
+	if err := q.ctx.Err(); err != nil {
+		q.errs[i] = fmt.Errorf("experiments: %w", err)
+		q.failed = true
+		return 0, false
+	}
+	return i, true
+}
+
+// done records item i's outcome.
+func (q *itemQueue) done(i int, err error) {
+	if err == nil {
+		return
+	}
+	q.mu.Lock()
+	q.errs[i] = err
+	q.failed = true
+	q.mu.Unlock()
+}
+
+// err returns the lowest-index error recorded.
+func (q *itemQueue) err() error {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	for _, err := range q.errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// RunProgramSuite measures the whole-program workloads (Figures 3-4),
+// one after another.
 func RunProgramSuite(cfg Config) (*SuiteResults, error) {
 	res := &SuiteResults{Config: cfg}
 	drv := cfg.driver()

@@ -1,22 +1,46 @@
 package experiments
 
 import (
+	"context"
+	"errors"
+	"fmt"
+	"math/rand"
+	"reflect"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
+
+	"ccmem/internal/pipeline"
 )
 
 var (
 	suiteOnce sync.Once
 	suiteRes  *SuiteResults
+	suiteRep  *pipeline.Report
 	suiteErr  error
 )
 
-// suite runs the full measurement once and shares it across tests.
+// benchConfig is the configuration ccmbench measures with (strict, the
+// differential oracle on) on a private driver of the given width.
+func benchConfig(workers int) Config {
+	cfg := Default()
+	cfg.Strict = true
+	cfg.DiffCheck = pipeline.DiffFinal
+	cfg.Driver = pipeline.New(pipeline.Options{Workers: workers})
+	return cfg
+}
+
+// suite runs the full measurement once, as ccmbench does, with eight
+// measurements at once, and shares it and its driver's cumulative
+// report across tests.
 func suite(t *testing.T) *SuiteResults {
 	t.Helper()
 	suiteOnce.Do(func() {
-		suiteRes, suiteErr = RunSuite(Default())
+		cfg := benchConfig(8)
+		suiteRes, suiteErr = RunSuite(cfg)
+		suiteRep = cfg.Driver.Metrics()
 	})
 	if suiteErr != nil {
 		t.Fatal(suiteErr)
@@ -208,22 +232,160 @@ func TestFiguresImprovedSubset(t *testing.T) {
 	}
 }
 
+// TestDeterminism: the routine suite (the farm's unit of work) prints
+// the same tables whether its routines are measured one at a time or
+// eight at once.
 func TestDeterminism(t *testing.T) {
-	cfg := Default()
-	cfg.CCMSizes = []int64{512}
-	a, err := RunRoutineSuite(cfg)
-	if err != nil {
-		t.Fatal(err)
+	run := func(workers int) *SuiteResults {
+		cfg := Default()
+		cfg.CCMSizes = []int64{512}
+		cfg.Driver = pipeline.New(pipeline.Options{Workers: workers})
+		res, err := RunRoutineSuite(cfg)
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		return res
 	}
-	b, err := RunRoutineSuite(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	a, b := run(1), run(8)
 	if a.FormatTable2(512) != b.FormatTable2(512) {
-		t.Fatal("two runs produced different Table 2")
+		t.Fatal("workers 1 and 8 produced different Table 2")
 	}
 	if a.FormatTable1() != b.FormatTable1() {
-		t.Fatal("two runs produced different Table 1")
+		t.Fatal("workers 1 and 8 produced different Table 1")
+	}
+}
+
+// TestSuiteAcrossWorkerCounts compares the shared eight-worker suite
+// with a one-worker run: the tables and figures must be byte-identical,
+// and so must the driver's compile and cache accounting, since every
+// suite measurement compiles a distinct program.
+func TestSuiteAcrossWorkerCounts(t *testing.T) {
+	par := suite(t)
+	parRep := suiteRep
+	cfg := benchConfig(1)
+	serial, err := RunSuite(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	serialRep := cfg.Driver.Metrics()
+	text := func(res *SuiteResults) map[string]string {
+		return map[string]string{
+			"Table 1":  res.FormatTable1(),
+			"Table 2":  res.FormatTable2(512),
+			"Table 3":  res.FormatTable3(512, 1024),
+			"Table 4":  res.FormatTable4(),
+			"Figure 3": res.FormatFigure(3, 512),
+			"Figure 4": res.FormatFigure(4, 1024),
+		}
+	}
+	want, got := text(serial), text(par)
+	for name := range want {
+		if got[name] != want[name] {
+			t.Errorf("%s differs between workers 1 and 8:\n%s\nvs\n%s", name, want[name], got[name])
+		}
+	}
+	if serialRep.Compiles != parRep.Compiles || serialRep.ProgramHits != parRep.ProgramHits ||
+		serialRep.DiffRuns != parRep.DiffRuns || !reflect.DeepEqual(serialRep.Cache, parRep.Cache) {
+		t.Errorf("accounting differs between workers 1 and 8:\ncompiles %d/%d, program hits %d/%d, diff runs %d/%d\ncache %+v\nvs    %+v",
+			serialRep.Compiles, parRep.Compiles, serialRep.ProgramHits, parRep.ProgramHits,
+			serialRep.DiffRuns, parRep.DiffRuns, serialRep.Cache, parRep.Cache)
+	}
+	if serialRep.Compiles == 0 || serialRep.Cache.Memory.Misses == 0 {
+		t.Fatalf("no compiles counted: %+v", serialRep.Cache)
+	}
+}
+
+// TestSuiteCancelled: a cancelled context stops the suite with an error
+// that wraps context.Canceled (ccmbench reports it as "interrupted").
+func TestSuiteCancelled(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	cfg := Default()
+	cfg.Ctx = ctx
+	for name, run := range map[string]func(Config) (*SuiteResults, error){
+		"RunSuite": RunSuite, "RunRoutineSuite": RunRoutineSuite, "RunProgramSuite": RunProgramSuite,
+	} {
+		if _, err := run(cfg); !errors.Is(err, context.Canceled) {
+			t.Errorf("%s: err = %v, want context.Canceled", name, err)
+		}
+	}
+}
+
+// TestFanOutLowestIndexError: with items 3 and 7 failing under random
+// delays, fanOut always returns item 3's error — the one a serial loop
+// stops at — and the items it ran are exactly a prefix of the index
+// range, each run once and to completion.
+func TestFanOutLowestIndexError(t *testing.T) {
+	const n = 24
+	for round := 0; round < 200; round++ {
+		workers := 1 + round%8
+		rng := rand.New(rand.NewSource(int64(round)))
+		delays := make([]time.Duration, n)
+		for i := range delays {
+			delays[i] = time.Duration(rng.Intn(300)) * time.Microsecond
+		}
+		var started, finished [n]atomic.Int32
+		err := fanOut(context.Background(), workers, n, func(i int) error {
+			started[i].Add(1)
+			defer finished[i].Add(1)
+			time.Sleep(delays[i])
+			if i == 3 || i == 7 {
+				return fmt.Errorf("item %d failed", i)
+			}
+			return nil
+		})
+		if err == nil || err.Error() != "item 3 failed" {
+			t.Fatalf("round %d (workers %d): err = %v, want item 3's", round, workers, err)
+		}
+		ran := 0
+		for i := 0; i < n; i++ {
+			s, f := started[i].Load(), finished[i].Load()
+			if s > 1 || s != f {
+				t.Fatalf("round %d: item %d started %d times, finished %d", round, i, s, f)
+			}
+			if s == 1 {
+				if ran != i {
+					t.Fatalf("round %d: item %d ran but item %d did not", round, i, ran)
+				}
+				ran++
+			}
+		}
+		if workers == 1 && ran != 4 {
+			t.Fatalf("round %d: one worker ran %d items past the failure at 3", round, ran-4)
+		}
+	}
+}
+
+// TestItemQueueStopsAfterFailure: once a failure is recorded, or the
+// context is done, no further index is handed out.
+func TestItemQueueStopsAfterFailure(t *testing.T) {
+	q := &itemQueue{ctx: context.Background(), errs: make([]error, 10)}
+	for want := 0; want < 3; want++ {
+		if i, ok := q.claim(); !ok || i != want {
+			t.Fatalf("claim = %d, %v; want %d", i, ok, want)
+		}
+	}
+	q.done(0, nil)
+	q.done(2, errors.New("two"))
+	if i, ok := q.claim(); ok {
+		t.Fatalf("claimed %d after a failure", i)
+	}
+	q.done(1, errors.New("one"))
+	if err := q.err(); err == nil || err.Error() != "one" {
+		t.Fatalf("err = %v, want the lowest index's", err)
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	q = &itemQueue{ctx: ctx, errs: make([]error, 10)}
+	if _, ok := q.claim(); !ok {
+		t.Fatal("first claim refused")
+	}
+	cancel()
+	if i, ok := q.claim(); ok {
+		t.Fatalf("claimed %d after cancellation", i)
+	}
+	if err := q.err(); !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }
 

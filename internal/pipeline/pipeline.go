@@ -42,6 +42,7 @@ package pipeline
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"net/http"
 	"runtime"
@@ -59,6 +60,7 @@ import (
 	"ccmem/internal/regalloc"
 	"ccmem/internal/remotecache"
 	"ccmem/internal/repro"
+	"ccmem/internal/sim"
 )
 
 // Strategy selects how register spills are placed. The values mirror the
@@ -124,7 +126,7 @@ type InjectedPass struct {
 // paper's baseline: 32+32 registers, optimizer on, compaction on, no CCM.
 type Config struct {
 	Strategy Strategy
-	CCMBytes int64 // capacity of the CCM; required unless Strategy is NoCCM
+	CCMBytes int64 // capacity of the CCM; required unless Strategy is NoCCM; at most sim.MaxCCMBytes
 
 	IntRegs   int // default 32; at most MaxRegs
 	FloatRegs int // default 32; at most MaxRegs
@@ -188,6 +190,27 @@ type Config struct {
 // the paper's 32 registers per class, above every experiment's value.
 const MaxRegs = 1024
 
+// ErrCCMInput reports a compiler input that already contains CCM
+// operations. Only the compiler places values in the CCM, and the
+// allocators assume they own all of it; an input ccmspill or ccmrestore
+// would address slots no allocator accounts for.
+var ErrCCMInput = errors.New("input contains CCM operations")
+
+// checkNoCCMOps rejects a program any of whose functions contains a CCM
+// operation (ErrCCMInput).
+func checkNoCCMOps(p *ir.Program) error {
+	for _, f := range p.Funcs {
+		for _, b := range f.Blocks {
+			for i := range b.Instrs {
+				if b.Instrs[i].Op.IsCCMOp() {
+					return fmt.Errorf("pipeline: func %s: %w (%s)", f.Name, ErrCCMInput, b.Instrs[i].Op)
+				}
+			}
+		}
+	}
+	return nil
+}
+
 func (c Config) withDefaults() Config {
 	if c.IntRegs == 0 {
 		c.IntRegs = 32
@@ -205,6 +228,9 @@ func (c Config) validate() error {
 	}
 	if c.Strategy != NoCCM && c.CCMBytes <= 0 {
 		return fmt.Errorf("pipeline: strategy %v requires CCMBytes > 0", c.Strategy)
+	}
+	if c.CCMBytes > sim.MaxCCMBytes {
+		return fmt.Errorf("pipeline: CCMBytes must be at most %d, got %d", sim.MaxCCMBytes, c.CCMBytes)
 	}
 	if c.FuncRetries < 0 {
 		return fmt.Errorf("pipeline: FuncRetries must be >= 0, got %d", c.FuncRetries)
@@ -621,6 +647,9 @@ func (d *Driver) CompileTraced(ctx context.Context, p *ir.Program, cfg Config, t
 func (d *Driver) compile(ctx context.Context, p *ir.Program, cfg Config, tracer *obs.Tracer) (*Report, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.validate(); err != nil {
+		return nil, err
+	}
+	if err := checkNoCCMOps(p); err != nil {
 		return nil, err
 	}
 	start := time.Now()

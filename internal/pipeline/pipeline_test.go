@@ -2,7 +2,9 @@ package pipeline
 
 import (
 	"encoding/json"
+	"errors"
 	"reflect"
+	"strings"
 	"testing"
 
 	"ccmem/internal/ir"
@@ -281,6 +283,18 @@ func TestConfigValidation(t *testing.T) {
 			t.Errorf("register counts %d/%d should fail", c.IntRegs, c.FloatRegs)
 		}
 	}
+	// The allocators size per-slot tables by CCMBytes/8, and the oracle's
+	// simulator allocates the CCM whole, so the capacity is bounded for
+	// every strategy.
+	for _, c := range []Config{
+		{Strategy: PostPass, CCMBytes: 1 << 40},
+		{Strategy: Integrated, CCMBytes: sim.MaxCCMBytes + 8},
+		{CCMBytes: 1 << 40, DiffCheck: DiffFinal},
+	} {
+		if _, err := d.Compile(workload.RandomProgram(1), c); err == nil || !strings.Contains(err.Error(), "CCMBytes") {
+			t.Errorf("%v with CCMBytes %d: err = %v, want a config error", c.Strategy, c.CCMBytes, err)
+		}
+	}
 	if _, err := ParseStrategy("bogus"); err == nil {
 		t.Error("ParseStrategy accepted junk")
 	}
@@ -289,6 +303,28 @@ func TestConfigValidation(t *testing.T) {
 		got, err := ParseStrategy(name)
 		if err != nil || got != s {
 			t.Errorf("ParseStrategy(%q) = %v, %v", name, got, err)
+		}
+	}
+}
+
+// TestCCMInputRejected: the compiler owns the CCM, so an input that
+// already contains CCM operations is rejected up front with ErrCCMInput
+// under every strategy, before any pass runs on it.
+func TestCCMInputRejected(t *testing.T) {
+	const src = "func main() int {\nentry:\n\tr0 = loadi 7\n\tccmspill r0, 0\n\tr1 = ccmrestore 0\n\tret r1\n}\n"
+	d := New(Options{})
+	for _, s := range allStrategies {
+		p, err := ir.Parse(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := p.String()
+		_, err = d.Compile(p, Config{Strategy: s, CCMBytes: 512})
+		if !errors.Is(err, ErrCCMInput) {
+			t.Fatalf("%v: err = %v, want ErrCCMInput", s, err)
+		}
+		if got := p.String(); got != want {
+			t.Fatalf("%v: rejected input was modified:\n%s", s, got)
 		}
 	}
 }

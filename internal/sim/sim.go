@@ -76,7 +76,7 @@ func TracesEqual(a, b []Value) bool {
 type Config struct {
 	MemCost    int          // cycles per main-memory op; default 2
 	CCMCost    int          // cycles per CCM op; default 1
-	CCMBytes   int64        // CCM capacity; 0 means no CCM present
+	CCMBytes   int64        // CCM capacity; 0 means no CCM present; at most MaxCCMBytes
 	CCMBase    int64        // per-process base offset into the CCM (§2.1)
 	StackWords int          // stack region size in words; default 1<<16
 	MaxSteps   int64        // dynamic instruction budget; default 500M
@@ -94,6 +94,13 @@ type Config struct {
 	// reports it instead of running.
 	Err error
 }
+
+// MaxCCMBytes bounds the CCM capacity. The simulator allocates the CCM
+// whole, and the allocators size per-slot tables (for the integrated
+// allocator, interference-graph nodes) by CCMBytes/8, so an unbounded
+// capacity is an unbounded allocation. 64 KiB is 64× the paper's larger
+// CCM (1024 bytes).
+const MaxCCMBytes = 64 << 10
 
 func (c Config) withDefaults() Config {
 	if c.MemCost == 0 {
@@ -240,8 +247,8 @@ func New(p *ir.Program, cfg Config) (*Machine, error) {
 		return nil, fmt.Errorf("sim: %w", cfg.Err)
 	}
 	cfg = cfg.withDefaults()
-	if cfg.CCMBytes%ir.WordBytes != 0 || cfg.CCMBytes < 0 {
-		return nil, fmt.Errorf("sim: CCMBytes %d must be a non-negative multiple of %d", cfg.CCMBytes, ir.WordBytes)
+	if cfg.CCMBytes%ir.WordBytes != 0 || cfg.CCMBytes < 0 || cfg.CCMBytes > MaxCCMBytes {
+		return nil, fmt.Errorf("sim: CCMBytes %d must be a multiple of %d in [0, %d]", cfg.CCMBytes, ir.WordBytes, MaxCCMBytes)
 	}
 	m := &Machine{cfg: cfg, prog: p, funcs: map[string]*rfunc{}, globalBase: map[string]int64{}}
 

@@ -240,6 +240,34 @@ func TestCCMOutOfBounds(t *testing.T) {
 	}
 }
 
+// TestCCMBytesBounds: the CCM capacity must be a word multiple in
+// [0, MaxCCMBytes]. The simulator allocates the CCM whole, so an
+// unbounded capacity would be an unbounded allocation; the top slot of
+// the largest CCM is still addressable.
+func TestCCMBytesBounds(t *testing.T) {
+	src := "func main() int {\nentry:\n\tr0 = loadi 7\n\tccmspill r0, " + itoa(MaxCCMBytes-8) +
+		"\n\tr1 = ccmrestore " + itoa(MaxCCMBytes-8) + "\n\tret r1\n}"
+	p, err := ir.Parse(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range []int64{-8, 12, MaxCCMBytes + 8, 1 << 40} {
+		if _, err := New(p, Config{CCMBytes: n}); err == nil || !strings.Contains(err.Error(), "CCMBytes") {
+			t.Errorf("CCMBytes %d: New err = %v, want a config error", n, err)
+		}
+		if _, err := Run(p, "main", Config{CCMBytes: n}); err == nil || !strings.Contains(err.Error(), "CCMBytes") {
+			t.Errorf("CCMBytes %d: Run err = %v, want a config error", n, err)
+		}
+	}
+	st, err := Run(p, "main", Config{CCMBytes: MaxCCMBytes})
+	if err != nil {
+		t.Fatalf("CCMBytes %d: %v", MaxCCMBytes, err)
+	}
+	if !st.HasRet || st.Ret.Int() != 7 || st.CCMOps != 2 {
+		t.Fatalf("CCMBytes %d: return %v, %d CCM ops", MaxCCMBytes, st.Ret, st.CCMOps)
+	}
+}
+
 func TestCCMBaseIsolation(t *testing.T) {
 	// Two "processes" (runs with different CCM bases) must not see each
 	// other's slots; the base register offsets every access (paper §2.1).

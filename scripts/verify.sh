@@ -3,10 +3,10 @@
 #
 # Runs tier-1 (build, vet, full test suite), then the race-detector
 # suites the ROADMAP requires for the concurrent driver, the miscompile
-# oracle, the simulator's shared image pool, and the persistent disk
-# cache. The long fault-injection soak is part of the default run; pass
-# short=1 in the environment to gate it off (go test -short). Intended
-# for CI and for humans before committing:
+# oracle, the simulator's shared image pool, the concurrent experiment
+# harness, and the persistent disk cache. The long fault-injection soak
+# is part of the default run; pass short=1 in the environment to gate it
+# off (go test -short). Intended for CI and for humans before committing:
 #
 #	./scripts/verify.sh
 #
@@ -52,6 +52,13 @@ go test -race $SHORTFLAG ./internal/pipeline/... ./internal/oracle/...
 # serial reference under the race detector.
 echo '== race: go test -race ./internal/sim/...'
 go test -race ./internal/sim/...
+
+# The experiment harness measures the paper's suite concurrently, each
+# measurement writing its own result slot; its suite compares a one- and
+# an eight-worker run under the race detector, which is what catches a
+# shared map or slot.
+echo '== race: go test -race ./internal/experiments/...'
+go test -race ./internal/experiments/...
 
 # The observability subsystem's whole point is concurrent-safe counters
 # and per-worker span shards, so its suite always runs under the race
