@@ -165,7 +165,7 @@ type HealthResponse struct {
 	Status string `json:"status"` // "ok", "draining", or "degraded"
 	Detail string `json:"detail,omitempty"`
 	// RemoteNodes breaks the remote fleet out per node (URL + circuit
-	// position) when the daemon runs against a replicated fleet. The
+	// position) when the daemon runs with a remote tier. The
 	// service is "degraded" on the remote axis only when every node here
 	// is open; a mix of open and closed nodes is business as usual.
 	RemoteNodes []pipeline.RemoteNodeStatus `json:"remote_nodes,omitempty"`
@@ -215,7 +215,7 @@ type ServiceStats struct {
 	// never fails readiness. For a replicated fleet this is the folded
 	// state: open only when every node's breaker is open.
 	RemoteCircuit string `json:"remote_circuit,omitempty"`
-	// RemoteNodes is the fleet's per-node circuit breakdown; nil for a
-	// single-server tier or no remote at all.
+	// RemoteNodes is the fleet's per-node circuit breakdown (one entry
+	// for a single -remote-url); nil with no remote tier.
 	RemoteNodes []pipeline.RemoteNodeStatus `json:"remote_nodes,omitempty"`
 }

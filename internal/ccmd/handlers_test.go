@@ -163,6 +163,21 @@ func TestHTTPValidation(t *testing.T) {
 			t.Fatalf("ccm %+v error: %+v", rc, e.Error)
 		}
 	}
+	// The oracle's vector count is bounded: each vector is a simulator
+	// pair per entry function that no per-function timeout covers, so a
+	// huge count would hold an admission slot for hours.
+	for _, rc := range []RequestConfig{
+		{DiffCheck: "final", DiffVectors: pipeline.MaxDiffVectors + 1},
+		{DiffVectors: 1 << 30},
+	} {
+		resp = postJSON(t, ts.URL+"/compile", CompileRequest{Program: testProgram(t, 1), Config: rc})
+		if resp.StatusCode != 400 {
+			t.Fatalf("diff vectors %+v: status %d, want 400", rc, resp.StatusCode)
+		}
+		if e := decodeBody[errEnvelope](t, resp); e.Error == nil || e.Error.Code != CodeBadRequest || e.Error.Field != "config.diff_vectors" {
+			t.Fatalf("diff vectors %+v error: %+v", rc, e.Error)
+		}
+	}
 	resp = postJSON(t, ts.URL+"/run", RunRequest{Program: testProgram(t, 1), CCMBytes: 1 << 40})
 	if resp.StatusCode != 400 {
 		t.Fatalf("/run ccm 1<<40: status %d, want 400", resp.StatusCode)
@@ -493,9 +508,9 @@ func TestHTTPRemoteCircuitDegradedNotDead(t *testing.T) {
 
 	svc, ts := newTestHTTP(t, func(c *Config) {
 		c.Driver = pipeline.New(pipeline.Options{
-			Workers:   2,
-			Metrics:   obs.NewRegistry(),
-			RemoteURL: dead,
+			Workers:    2,
+			Metrics:    obs.NewRegistry(),
+			RemoteURLs: []string{dead},
 			RemoteTuning: remotecache.Tuning{
 				RequestTimeout: 100 * time.Millisecond,
 				Retries:        -1,

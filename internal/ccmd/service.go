@@ -477,8 +477,8 @@ func (s *Service) pipelineConfig(req *CompileRequest, shed int) (pipeline.Config
 		req.Config.FloatRegs < 0 || req.Config.FloatRegs > pipeline.MaxRegs {
 		return zero, errBadRequest("config.int_regs", "register counts must be in [0, %d]", pipeline.MaxRegs)
 	}
-	if req.Config.DiffVectors < 0 {
-		return zero, errBadRequest("config.diff_vectors", "must be >= 0, got %d", req.Config.DiffVectors)
+	if req.Config.DiffVectors < 0 || req.Config.DiffVectors > pipeline.MaxDiffVectors {
+		return zero, errBadRequest("config.diff_vectors", "must be in [0, %d], got %d", pipeline.MaxDiffVectors, req.Config.DiffVectors)
 	}
 	if req.Config.Workers < 0 {
 		return zero, errBadRequest("config.workers", "must be >= 0, got %d", req.Config.Workers)

@@ -19,8 +19,8 @@ import (
 // well under it while runaway callers evict in LRU order.
 const DefaultCacheEntries = 4096
 
-// digest is a content address: SHA-256 over the canonical encoding
-// produced in hash.go.
+// digest is a content address: SHA-256 over the key buffer hash.go
+// assembles in the codec v2 encoding.
 type digest [32]byte
 
 // Cache is a bounded, thread-safe, content-addressed artifact store with
@@ -49,7 +49,7 @@ type Cache struct {
 	entries map[digest]*list.Element
 	lru     *list.List // front = most recently used
 	disk    *diskcache.Cache
-	remote  remotecache.Tier
+	remote  *remotecache.Fleet
 	reg     *obs.Registry
 
 	// legacyPut makes put write persistent entries in the legacy JSON
@@ -114,17 +114,17 @@ func (c *Cache) Disk() *diskcache.Cache {
 	return c.disk
 }
 
-// AttachRemote backs the cache with a remote HTTP tier — a single
-// remotecache.Client or a replicated Fleet, consulted after a disk
-// miss. Safe to call on a cache already in use; nil detaches.
-func (c *Cache) AttachRemote(r remotecache.Tier) {
+// AttachRemote backs the cache with a remote HTTP tier (a
+// remotecache.Fleet of one or more nodes), consulted after a disk miss.
+// Safe to call on a cache already in use; nil detaches.
+func (c *Cache) AttachRemote(r *remotecache.Fleet) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.remote = r
 }
 
 // Remote returns the attached remote tier (nil when none).
-func (c *Cache) Remote() remotecache.Tier {
+func (c *Cache) Remote() *remotecache.Fleet {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.remote
@@ -432,8 +432,7 @@ func (c *Cache) Stats() CacheStats {
 }
 
 // remoteTierStats converts a remotecache snapshot into the report
-// shape, recursing into the per-node blocks a Fleet reports (a single
-// Client has none).
+// shape, recursing into the fleet's per-node blocks.
 func remoteTierStats(rs remotecache.Stats) RemoteTierStats {
 	st := RemoteTierStats{
 		Hits:        rs.Hits,

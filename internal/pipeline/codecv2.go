@@ -10,13 +10,16 @@ import (
 )
 
 // Codec v2: the binary artifact payload format behind diskKindFrontV2,
-// diskKindBackV2, and diskKindProgramV2.
+// diskKindBackV2, and diskKindProgramV2, and the one canonical encoding
+// of ir.Func: the cache keys (hash.go) hash bw.fn's bytes, so an
+// artifact is addressed by the same encoding it is stored in, and a
+// field added here enters the keys and the payloads together.
 //
 // Design rules:
 //
 //   - Deterministic: one artifact value has exactly one encoding. Field
-//     order is fixed (mirroring the canonical hash order of hash.go),
-//     map-shaped data is emitted sorted by key, and the decoder rejects
+//     order is fixed, map-shaped data is emitted sorted by key, and the
+//     decoder rejects
 //     any non-canonical input (unsorted reports, trailing bytes), so
 //     decode∘encode and encode∘decode are both identities on the accepted
 //     sets. The determinism matrix relies on cache bytes being a pure

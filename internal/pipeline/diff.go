@@ -225,8 +225,8 @@ type diffOracle struct {
 	divergentPasses map[string]int64
 }
 
-func newDiffOracle(p *ir.Program, cfg Config, reg *obs.Registry) *diffOracle {
-	seed := programSeed(p, cfg)
+func newDiffOracle(p *ir.Program, cfg Config, progKey digest, reg *obs.Registry) *diffOracle {
+	seed := programSeed(progKey)
 	return &diffOracle{
 		pre:  p.Clone(),
 		seed: seed,

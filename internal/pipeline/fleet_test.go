@@ -299,23 +299,29 @@ func TestFleetReportJSONShape(t *testing.T) {
 	}
 }
 
-// TestFleetSingleURLUnchanged: one -remote-url keeps the original
-// single-server client — no nodes array, no fleet counters, same
-// circuit reporting as ever.
+// TestFleetSingleURLUnchanged: one -remote-url is a one-node fleet —
+// the same construction path and stats shape as a replicated fleet,
+// with one node entry — and compiles the same bytes as no remote tier.
 func TestFleetSingleURLUnchanged(t *testing.T) {
 	_, hs := remoteServer(t)
 	d := New(Options{RemoteURLs: []string{hs.URL}, RemoteTuning: fastRemoteTuning()})
 	defer closeRemote(t, d)
-	if _, ok := d.Cache().Remote().(*remotecache.Client); !ok {
-		t.Fatalf("single-URL remote tier is %T, want *remotecache.Client", d.Cache().Remote())
+	if d.Cache().Remote() == nil {
+		t.Fatalf("single-URL remote tier not attached: %v", d.RemoteCacheErr())
 	}
-	if nodes := d.RemoteNodes(); nodes != nil {
-		t.Fatalf("RemoteNodes = %v for a single server, want nil", nodes)
+	if nodes := d.RemoteNodes(); len(nodes) != 1 || nodes[0].Circuit != "closed" {
+		t.Fatalf("RemoteNodes = %v for a single server, want one closed node", nodes)
 	}
 	cfg := detConfig(PostPass)
-	rep := mustCompile(t, d, workload.RandomProgram(94), cfg)
-	if len(rep.Cache.Remote.Nodes) != 0 {
-		t.Fatalf("single-server remote block grew a nodes array: %+v", rep.Cache.Remote)
+	want := coldILOC(t, 94, cfg)
+	p := workload.RandomProgram(94)
+	rep := mustCompile(t, d, p, cfg)
+	if p.String() != want {
+		t.Error("single-node remote tier changed the output")
+	}
+	if len(rep.Cache.Remote.Nodes) != 1 {
+		t.Fatalf("single-server remote block has %d node entries, want 1: %+v",
+			len(rep.Cache.Remote.Nodes), rep.Cache.Remote)
 	}
 }
 

@@ -3,101 +3,35 @@ package pipeline
 import (
 	"crypto/sha256"
 	"encoding/binary"
-	"hash"
-	"math"
 
 	"ccmem/internal/ir"
 )
 
 // Key-space version tags. Bump when the encoding below or the semantics
 // of a stage change, so stale artifacts from an older scheme can never be
-// returned (relevant only to long-lived shared caches).
+// returned (relevant only to long-lived shared caches). Last bumped when
+// the keys moved to the codec v2 encoding.
 const (
-	frontKeyTag   = "ccm-pipeline-front-v2"
-	backKeyTag    = "ccm-pipeline-back-v2"
-	programKeyTag = "ccm-pipeline-prog-v3" // v3: DiffCheck/DiffVectors entered the key
+	frontKeyTag   = "ccm-pipeline-front-v3"
+	backKeyTag    = "ccm-pipeline-back-v3"
+	programKeyTag = "ccm-pipeline-prog-v4"
 )
 
-// hasher streams a canonical binary encoding of IR and Config into
-// SHA-256. Every variable-length field is length-prefixed, so distinct
-// inputs cannot collide by concatenation.
-type hasher struct {
-	h   hash.Hash
-	buf [8]byte
-}
-
-func newHasher(tag string) *hasher {
-	h := &hasher{h: sha256.New()}
-	h.str(tag)
-	return h
-}
-
-func (h *hasher) u64(v uint64) {
-	binary.LittleEndian.PutUint64(h.buf[:], v)
-	h.h.Write(h.buf[:])
-}
-
-func (h *hasher) i64(v int64) { h.u64(uint64(v)) }
-func (h *hasher) int(v int)   { h.u64(uint64(int64(v))) }
-
-func (h *hasher) bool(b bool) {
-	if b {
-		h.u64(1)
-	} else {
-		h.u64(0)
-	}
-}
-
-func (h *hasher) str(s string) {
-	h.int(len(s))
-	h.h.Write([]byte(s))
-}
-
-func (h *hasher) sum() digest {
-	var d digest
-	copy(d[:], h.h.Sum(nil))
-	return d
-}
-
-// fn encodes every field of f that influences compilation or the printed
-// ILOC text — including diagnostic register names, which appear in the
-// output and must therefore distinguish artifacts.
-func (h *hasher) fn(f *ir.Func) {
-	h.str(f.Name)
-	h.int(len(f.Params))
-	for _, r := range f.Params {
-		h.i64(int64(r))
-	}
-	h.int(int(f.RetClass))
-	h.int(len(f.Regs))
-	for _, ri := range f.Regs {
-		h.int(int(ri.Class))
-		h.str(ri.Name)
-	}
-	h.bool(f.Allocated)
-	h.int(f.NumInt)
-	h.int(f.NumFloat)
-	h.i64(f.FrameBytes)
-	h.i64(f.CCMBytes)
-	h.int(len(f.Blocks))
-	for _, b := range f.Blocks {
-		h.str(b.Name)
-		h.int(len(b.Instrs))
-		for i := range b.Instrs {
-			in := &b.Instrs[i]
-			h.int(int(in.Op))
-			h.i64(int64(in.Dst))
-			h.int(len(in.Args))
-			for _, a := range in.Args {
-				h.i64(int64(a))
-			}
-			h.i64(in.Imm)
-			h.u64(math.Float64bits(in.FImm))
-			h.str(in.Sym)
-			h.str(in.Then)
-			h.str(in.Else)
-		}
-	}
+// Every key is SHA-256 over one codec v2 buffer (codecv2.go): the tag,
+// the Config fields the stage depends on, and the functions in exactly
+// the encoding (bw.fn) their artifacts are stored in. That encoding is
+// length-prefixed and decodable, so distinct inputs cannot collide by
+// concatenation; Config ints and global sizes travel as i64, so
+// unbounded values stay distinct too.
+//
+// keyWriter sizes the buffer for instrs instructions at 64 bytes each
+// (random workload programs encode about 49 per instruction, registers
+// and blocks included), so a key costs one allocation, not a chain of
+// doublings.
+func keyWriter(tag string, instrs int) *bw {
+	w := &bw{b: make([]byte, 0, 128+64*instrs)}
+	w.str(tag)
+	return w
 }
 
 // frontKey addresses a function's front-stage artifact. Strategy enters
@@ -105,72 +39,75 @@ func (h *hasher) fn(f *ir.Func) {
 // post-pass strategies run an identical front stage, so their sweeps
 // share artifacts.
 func frontKey(f *ir.Func, cfg Config) digest {
-	h := newHasher(frontKeyTag)
-	h.bool(cfg.DisableOptimizer)
-	h.int(cfg.IntRegs)
-	h.int(cfg.FloatRegs)
+	w := keyWriter(frontKeyTag, f.NumInstrs())
+	w.bool(cfg.DisableOptimizer)
+	w.i64(int64(cfg.IntRegs))
+	w.i64(int64(cfg.FloatRegs))
 	if cfg.Strategy == Integrated {
-		h.i64(cfg.CCMBytes)
+		w.i64(cfg.CCMBytes)
 	} else {
-		h.i64(0)
+		w.i64(0)
 	}
 	// Verified and unverified artifacts are kept apart: a VerifyPasses
 	// compile must never be satisfied by an artifact that skipped its
 	// checkpoints.
-	h.bool(cfg.VerifyPasses)
-	h.fn(f)
-	return h.sum()
+	w.bool(cfg.VerifyPasses)
+	w.fn(f)
+	return sha256.Sum256(w.b)
 }
 
 // backKey addresses a function's back-stage artifact, keyed by the
 // post-barrier function content so promotion changes invalidate exactly
 // the functions they rewrote.
 func backKey(f *ir.Func, cfg Config) digest {
-	h := newHasher(backKeyTag)
-	h.bool(cfg.CleanupSpills)
-	h.bool(cfg.DisableCompaction)
-	h.bool(cfg.VerifyPasses)
-	h.fn(f)
-	return h.sum()
+	w := keyWriter(backKeyTag, f.NumInstrs())
+	w.bool(cfg.CleanupSpills)
+	w.bool(cfg.DisableCompaction)
+	w.bool(cfg.VerifyPasses)
+	w.fn(f)
+	return sha256.Sum256(w.b)
 }
 
 // programKey addresses a whole compiled program under the full Config.
 func programKey(p *ir.Program, cfg Config) digest {
-	h := newHasher(programKeyTag)
-	h.int(int(cfg.Strategy))
-	h.i64(cfg.CCMBytes)
-	h.int(cfg.IntRegs)
-	h.int(cfg.FloatRegs)
-	h.bool(cfg.DisableOptimizer)
-	h.bool(cfg.DisableCompaction)
-	h.bool(cfg.CleanupSpills)
-	h.bool(cfg.VerifyPasses)
+	n := 0
+	for _, f := range p.Funcs {
+		n += f.NumInstrs()
+	}
+	w := keyWriter(programKeyTag, n)
+	w.i64(int64(cfg.Strategy))
+	w.i64(cfg.CCMBytes)
+	w.i64(int64(cfg.IntRegs))
+	w.i64(int64(cfg.FloatRegs))
+	w.bool(cfg.DisableOptimizer)
+	w.bool(cfg.DisableCompaction)
+	w.bool(cfg.CleanupSpills)
+	w.bool(cfg.VerifyPasses)
 	// Differential checking can change the shipped program (divergence
 	// quarantine degrades functions), so checked and unchecked compiles
 	// must not share artifacts.
-	h.int(int(cfg.DiffCheck))
-	h.int(cfg.DiffVectors)
-	h.int(len(p.Globals))
+	w.i64(int64(cfg.DiffCheck))
+	w.i64(int64(cfg.DiffVectors))
+	w.u32(uint32(len(p.Globals)))
 	for _, g := range p.Globals {
-		h.str(g.Name)
-		h.int(g.Words)
-		h.int(len(g.Init))
-		for _, w := range g.Init {
-			h.u64(w)
+		w.str(g.Name)
+		w.i64(int64(g.Words))
+		w.u32(uint32(len(g.Init)))
+		for _, v := range g.Init {
+			w.u64(v)
 		}
 	}
-	h.int(len(p.Funcs))
+	w.u32(uint32(len(p.Funcs)))
 	for _, f := range p.Funcs {
-		h.fn(f)
+		w.fn(f)
 	}
-	return h.sum()
+	return sha256.Sum256(w.b)
 }
 
 // programSeed derives the differential oracle's argument-vector seed
-// from the same content hash that addresses the program in the cache:
-// re-checking an identical (program, Config) pair replays identical
-// vectors, with no wall-clock randomness anywhere.
-func programSeed(p *ir.Program, cfg Config) uint64 {
-	k := programKey(p, cfg)
+// from the program key, the same content hash that addresses the
+// program in the cache: re-checking an identical (program, Config) pair
+// replays identical vectors, with no wall-clock randomness anywhere.
+func programSeed(k digest) uint64 {
 	return binary.LittleEndian.Uint64(k[:8])
 }

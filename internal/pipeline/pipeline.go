@@ -175,7 +175,7 @@ type Config struct {
 	// compiles — are still served.
 	DiffCheck DiffCheck
 	// DiffVectors is the number of argument vectors per checked entry
-	// function (0 = the oracle default of 3).
+	// function (0 = the oracle default of 3); at most MaxDiffVectors.
 	DiffVectors int
 
 	// postPassHook is a test seam: it is invoked with each function name
@@ -189,6 +189,11 @@ type Config struct {
 // an unbounded allocation (and overflows ir.Reg past 2^31). 1024 is 32×
 // the paper's 32 registers per class, above every experiment's value.
 const MaxRegs = 1024
+
+// MaxDiffVectors bounds DiffVectors. The oracle runs one simulator pair
+// per vector and entry function, outside FuncTimeout, so its cost grows
+// linearly with the count; 64 is about 20x the default of 3.
+const MaxDiffVectors = 64
 
 // ErrCCMInput reports a compiler input that already contains CCM
 // operations. Only the compiler places values in the CCM, and the
@@ -246,8 +251,8 @@ func (c Config) validate() error {
 	if c.DiffCheck < DiffOff || c.DiffCheck > DiffPerStage {
 		return fmt.Errorf("pipeline: unknown DiffCheck mode %d", int(c.DiffCheck))
 	}
-	if c.DiffVectors < 0 {
-		return fmt.Errorf("pipeline: DiffVectors must be >= 0, got %d", c.DiffVectors)
+	if c.DiffVectors < 0 || c.DiffVectors > MaxDiffVectors {
+		return fmt.Errorf("pipeline: DiffVectors must be in [0, %d], got %d", MaxDiffVectors, c.DiffVectors)
 	}
 	return nil
 }
@@ -278,21 +283,18 @@ type Options struct {
 	// injection seam (diskcache.FaultFS). nil uses the real filesystem.
 	DiskFS diskcache.FS
 
-	// RemoteURL enables the remote HTTP tier (internal/remotecache): a
-	// shared cache server consulted after a disk miss, with hits promoted
-	// into the upper tiers and stores written behind asynchronously. Like
-	// the disk tier it is an accelerator, not a dependency — a sick or
-	// absent server costs time, never bytes, and never fails a compile
-	// (the client's circuit breaker stops paying for a dead server after
-	// a few failures). Empty disables the tier; a malformed URL is
-	// reported via RemoteCacheErr and the driver runs without the tier.
-	RemoteURL string
-	// RemoteURLs enables the replicated remote fleet: two or more
-	// ccmcached base URLs behind the same tier contract, with rendezvous
+	// RemoteURLs enables the remote HTTP tier (internal/remotecache): one
+	// or more ccmcached base URLs consulted after a disk miss, with hits
+	// promoted into the upper tiers and stores written behind
+	// asynchronously. The tier is a remotecache.Fleet — rendezvous
 	// placement, per-node circuit breakers, failover reads, replicated
-	// write-behind puts, and async read-repair (remotecache.Fleet).
-	// A single entry behaves exactly like RemoteURL. When both fields
-	// are set, RemoteURL is treated as one more fleet node.
+	// write-behind puts, and async read-repair — and a single URL is a
+	// one-node fleet. Like the disk tier it is an accelerator, not a
+	// dependency: a sick or absent server costs time, never bytes, and
+	// never fails a compile (each node's circuit breaker stops paying for
+	// a dead server after a few failures). Empty disables the tier; a
+	// malformed URL is reported via RemoteCacheErr and the driver runs
+	// without the tier.
 	RemoteURLs []string
 	// RemoteToken is the bearer token sent with every remote-tier
 	// request — required to join a fleet whose ccmcached runs with
@@ -303,12 +305,12 @@ type Options struct {
 	// real transport.
 	RemoteFaultRT http.RoundTripper
 	// RemoteFaultRTs overrides transports per fleet node — the per-node
-	// fault-injection seam. When non-nil it must match the resolved node
-	// list exactly; nil entries fall back to RemoteFaultRT.
+	// fault-injection seam. When non-nil it must match RemoteURLs
+	// exactly; nil entries fall back to RemoteFaultRT.
 	RemoteFaultRTs []http.RoundTripper
 	// RemoteReplicas is how many healthy fleet nodes each write-behind
 	// put lands on; <= 0 uses the fleet default (2, capped at the node
-	// count). Ignored for a single-server tier.
+	// count).
 	RemoteReplicas int
 	// RemoteTuning adjusts the remote client's hardening knobs (timeouts,
 	// retries, breaker thresholds); zero fields take remotecache defaults.
@@ -398,34 +400,9 @@ func New(opts Options) *Driver {
 				d.cache.AttachDisk(dc)
 			}
 		}
-		urls := opts.RemoteURLs
-		if opts.RemoteURL != "" {
-			urls = append([]string{opts.RemoteURL}, urls...)
-		}
-		switch {
-		case len(urls) == 1:
-			// Single server: the original client, byte-for-byte the same
-			// behavior the single-URL flag always had.
-			rt := opts.RemoteFaultRT
-			if len(opts.RemoteFaultRTs) == 1 && opts.RemoteFaultRTs[0] != nil {
-				rt = opts.RemoteFaultRTs[0]
-			}
-			rc, err := remotecache.NewClient(remotecache.Options{
-				BaseURL:      urls[0],
-				RoundTripper: rt,
-				AuthToken:    opts.RemoteToken,
-				Obs:          opts.Metrics,
-				Tuning:       opts.RemoteTuning,
-			})
-			if err != nil {
-				// Same contract as the disk tier: no remote, no failure.
-				d.remoteErr = err
-			} else {
-				d.cache.AttachRemote(rc)
-			}
-		case len(urls) > 1:
+		if len(opts.RemoteURLs) > 0 {
 			fl, err := remotecache.NewFleet(remotecache.FleetOptions{
-				BaseURLs:      urls,
+				BaseURLs:      opts.RemoteURLs,
 				RoundTripper:  opts.RemoteFaultRT,
 				RoundTrippers: opts.RemoteFaultRTs,
 				AuthToken:     opts.RemoteToken,
@@ -434,6 +411,7 @@ func New(opts Options) *Driver {
 				Replicas:      opts.RemoteReplicas,
 			})
 			if err != nil {
+				// Same contract as the disk tier: no remote, no failure.
 				d.remoteErr = err
 			} else {
 				d.cache.AttachRemote(fl)
@@ -455,7 +433,7 @@ func (d *Driver) Cache() *Cache { return d.cache }
 func (d *Driver) DiskCacheErr() error { return d.diskErr }
 
 // RemoteCacheErr reports why the remote tier requested via
-// Options.RemoteURL could not be built; nil when it is attached or was
+// Options.RemoteURLs could not be built; nil when it is attached or was
 // never requested. The driver compiles either way.
 func (d *Driver) RemoteCacheErr() error { return d.remoteErr }
 
@@ -482,12 +460,11 @@ type RemoteNodeStatus struct {
 	Circuit string `json:"circuit"`
 }
 
-// RemoteNodes reports the per-node circuit state of a replicated remote
-// fleet, in configured node order; nil when no remote tier is attached
-// or the tier is a single server (whose state RemoteCircuit covers).
-// The fleet-level circuit folds these with "any healthy node keeps the
-// tier usable" semantics, so a degraded report means every node here is
-// open.
+// RemoteNodes reports the per-node circuit state of the remote fleet,
+// in configured node order (one entry for a single URL); nil when no
+// remote tier is attached. The fleet-level circuit folds these with
+// "any healthy node keeps the tier usable" semantics, so a degraded
+// report means every node here is open.
 func (d *Driver) RemoteNodes() []RemoteNodeStatus {
 	if d.cache == nil {
 		return nil
@@ -497,9 +474,6 @@ func (d *Driver) RemoteNodes() []RemoteNodeStatus {
 		return nil
 	}
 	st := rc.Stats()
-	if len(st.Nodes) == 0 {
-		return nil
-	}
 	out := make([]RemoteNodeStatus, len(st.Nodes))
 	for i, ns := range st.Nodes {
 		out[i] = RemoteNodeStatus{URL: ns.URL, Circuit: ns.Stats.Circuit}
@@ -701,10 +675,13 @@ func (d *Driver) compile(ctx context.Context, p *ir.Program, cfg Config, tracer 
 	}
 
 	// Whole-program cache: a repeat compile of an identical (program,
-	// Config) pair skips every pass, including verification.
+	// Config) pair skips every pass, including verification. The oracle
+	// seeds its vectors from the same key, so the program is hashed once.
 	var progKey digest
-	if cache != nil {
+	if cache != nil || cfg.DiffCheck != DiffOff {
 		progKey = programKey(p, cfg)
+	}
+	if cache != nil {
 		if v, ok := cache.get(progKey, diskKindProgramV2, mainSh); ok {
 			art := v.(*programArtifact)
 			// The cached functions are frozen: handing them out by
@@ -728,7 +705,7 @@ func (d *Driver) compile(ctx context.Context, p *ir.Program, cfg Config, tracer 
 
 	var do *diffOracle
 	if cfg.DiffCheck != DiffOff {
-		do = newDiffOracle(p, cfg, d.reg)
+		do = newDiffOracle(p, cfg, progKey, d.reg)
 	}
 	forced := newForcedDegrade()
 	// Each retry strictly escalates one function's quarantine, so the

@@ -295,6 +295,16 @@ func TestConfigValidation(t *testing.T) {
 			t.Errorf("%v with CCMBytes %d: err = %v, want a config error", c.Strategy, c.CCMBytes, err)
 		}
 	}
+	// The oracle runs a simulator pair per vector and entry function,
+	// outside FuncTimeout, so the vector count is bounded.
+	for _, c := range []Config{
+		{DiffCheck: DiffFinal, DiffVectors: MaxDiffVectors + 1},
+		{DiffVectors: 1 << 30},
+	} {
+		if _, err := d.Compile(workload.RandomProgram(1), c); err == nil || !strings.Contains(err.Error(), "DiffVectors") {
+			t.Errorf("DiffVectors %d: err = %v, want a config error", c.DiffVectors, err)
+		}
+	}
 	if _, err := ParseStrategy("bogus"); err == nil {
 		t.Error("ParseStrategy accepted junk")
 	}

@@ -93,19 +93,19 @@ type RemoteTierStats struct {
 	Probes  int64  `json:"probes"`
 	Circuit string `json:"circuit,omitempty"`
 
-	// Fleet counters, populated only when the remote tier is a
-	// replicated fleet: lookups the fleet absorbed a node failure on,
-	// and read-repair puts queued back toward a key's preferred nodes.
+	// Fleet counters: lookups the fleet absorbed a node failure on, and
+	// read-repair puts queued back toward a key's preferred nodes. Zero
+	// in a node's own block.
 	Failovers int64 `json:"failovers,omitempty"`
 	Repairs   int64 `json:"repairs,omitempty"`
 
-	// Nodes breaks the fleet out per server, in configured order. Empty
-	// for a single-server tier.
+	// Nodes breaks the fleet out per server, in configured order (one
+	// entry for a single URL). Empty in a node's own block.
 	Nodes []RemoteNodeStats `json:"nodes,omitempty"`
 }
 
 // RemoteNodeStats is one fleet node's own counter block: the node's URL
-// plus the same per-server stats a single-server tier reports.
+// plus that server's own counters.
 type RemoteNodeStats struct {
 	URL string `json:"url"`
 	RemoteTierStats

@@ -1,8 +1,8 @@
 // Package remotecache is the network tier of the artifact cache
 // hierarchy: an HTTP cache server (Server, fronted by cmd/ccmcached)
 // that stores disk-cache entries for a fleet of compile processes, and
-// a hardened Client the pipeline consults after the memory and disk
-// tiers miss.
+// a Fleet of hardened Clients, one per server, that the pipeline
+// consults after the memory and disk tiers miss.
 //
 // The wire format IS the disk format: every entry travels as the
 // self-verifying encoding from internal/diskcache (versioned header,
@@ -172,7 +172,8 @@ type Stats struct {
 	Repairs   int64 `json:"repairs,omitempty"`
 
 	// Nodes is the per-node breakdown of a Fleet snapshot, in the
-	// fleet's configured node order; empty for a single Client.
+	// fleet's configured node order (one entry for a one-node fleet);
+	// empty in a node's own Client snapshot.
 	Nodes []NodeStats `json:"nodes,omitempty"`
 }
 
@@ -181,21 +182,6 @@ type Stats struct {
 type NodeStats struct {
 	URL   string `json:"url"`
 	Stats Stats  `json:"stats"`
-}
-
-// Tier is the remote-tier contract the pipeline consumes: one logical
-// remote cache, whether a single server (Client) or a replicated fleet
-// of them (Fleet). Every implementation shares the same degradation
-// contract — a sick tier costs time, never bytes, and never fails a
-// compile.
-type Tier interface {
-	Get(key diskcache.Key, kind uint32) ([]byte, bool)
-	Put(key diskcache.Key, kind uint32, payload []byte)
-	ReportDecodeFailure()
-	Flush(ctx context.Context) error
-	Close() error
-	Stats() Stats
-	State() State
 }
 
 // errCorrupt marks a response that failed re-verification (truncation,
@@ -376,15 +362,6 @@ func (c *Client) Close() error {
 	c.putMu.Unlock()
 	c.wg.Wait()
 	return nil
-}
-
-// ReportDecodeFailure reclassifies the most recent hit as a miss: the
-// entry's bytes verified end to end but the payload would not decode as
-// an artifact — a checksum-consistent record from a buggy writer.
-func (c *Client) ReportDecodeFailure() {
-	c.hits.Add(-1)
-	c.misses.Add(1)
-	c.corrupt.Add(1)
 }
 
 // Stats returns a counter snapshot.

@@ -15,11 +15,6 @@ import (
 	"ccmem/internal/obs"
 )
 
-var (
-	_ Tier = (*Client)(nil)
-	_ Tier = (*Fleet)(nil)
-)
-
 // FleetOptions configure NewFleet.
 type FleetOptions struct {
 	// BaseURLs are the fleet's cache servers, one ccmcached each. Order
@@ -55,9 +50,10 @@ type fleetNode struct {
 	c   *Client
 }
 
-// Fleet is a replicated remote cache tier over N ccmcached servers,
-// behind the same Tier contract the single-server Client satisfies.
-// The replication story is deliberately client-side and gossip-free:
+// Fleet is the remote cache tier the pipeline consumes: N ccmcached
+// servers (N = 1 for a single URL), each behind its own hardened
+// Client. The replication story is deliberately client-side and
+// gossip-free:
 //
 //   - Placement: rendezvous (highest-random-weight) hashing over the
 //     content-addressed key orders the nodes per key, identically in

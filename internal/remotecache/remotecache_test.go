@@ -389,20 +389,27 @@ func TestPutAfterCloseIsDropped(t *testing.T) {
 	}
 }
 
+// TestReportDecodeFailureReclassifies: a single URL is a one-node
+// fleet, and a decode failure reported on it reclassifies the hit as a
+// miss at the fleet level while the node keeps the wire-level truth.
 func TestReportDecodeFailureReclassifies(t *testing.T) {
-	_, hs := newTestServer(t)
-	c := newTestClient(t, hs.URL, nil, fastTuning(), nil)
+	h := newFleetHarness(t, 1)
 	payload := []byte("checksum-consistent but undecodable")
 	key := keyOf(payload)
-	c.Put(key, 1, payload)
-	flush(t, c)
-	if _, ok := c.Get(key, 1); !ok {
+	h.fleet.Put(key, 1, payload)
+	flushFleet(t, h.fleet)
+	if _, ok := h.fleet.Get(key, 1); !ok {
 		t.Fatalf("warm Get missed")
 	}
-	c.ReportDecodeFailure()
-	if st := c.Stats(); st.Hits != 0 || st.Misses != 0+1 || st.Corruptions != 1 {
+	h.fleet.ReportDecodeFailure()
+	st := h.fleet.Stats()
+	if st.Hits != 0 || st.Misses != 1 || st.Corruptions != 1 {
 		t.Fatalf("after reclassification: %+v", st)
 	}
+	if len(st.Nodes) != 1 || st.Nodes[0].Stats.Hits != 1 || st.Nodes[0].Stats.Corruptions != 0 {
+		t.Fatalf("node block after reclassification: %+v", st.Nodes)
+	}
+	assertFleetInvariant(t, h.fleet)
 }
 
 func TestNewClientRejectsBadURL(t *testing.T) {

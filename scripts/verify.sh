@@ -4,7 +4,8 @@
 # Runs tier-1 (build, vet, full test suite), then the race-detector
 # suites the ROADMAP requires for the concurrent driver, the miscompile
 # oracle, the simulator's shared image pool, the concurrent experiment
-# harness, and the persistent disk cache. The long fault-injection soak
+# harness, and the persistent disk cache, then the allocation guards and
+# a short fuzz smoke of the artifact codec. The long fault-injection soak
 # is part of the default run; pass short=1 in the environment to gate it
 # off (go test -short). Intended for CI and for humans before committing:
 #
@@ -129,5 +130,14 @@ go test $SHORTFLAG -run 'TestFarmMatchesSolo|TestFarmWorkerFailureFailsLoudly|Te
 # race runtime inflates allocation counts and drops sync.Pool puts).
 echo "== alloc-guard: go test -count=1 -run 'TestAllocGuard' ./internal/pipeline/ ./internal/liveness/ ./internal/sim/"
 go test -count=1 -run 'TestAllocGuard' ./internal/pipeline/ ./internal/liveness/ ./internal/sim/
+
+# Fuzz smoke of the artifact codec's hostile-input oracle: every input
+# must decode or fail cleanly, and an accepted payload must re-encode to
+# the same bytes. bw.fn is also the encoding the cache keys hash, so this
+# covers the key bytes too. Without -fuzz only the seed corpus would run.
+# Minimizing each new input may take up to a minute by default, which
+# would spend the whole window; one second keeps the smoke fuzzing.
+echo "== fuzz: go test -run '^\$' -fuzz '^FuzzBinaryArtifactDecode\$' -fuzztime 10s -fuzzminimizetime 1s ./internal/pipeline/"
+go test -run '^$' -fuzz '^FuzzBinaryArtifactDecode$' -fuzztime 10s -fuzzminimizetime 1s ./internal/pipeline/
 
 echo '== verify.sh: all green'
